@@ -51,7 +51,6 @@ from .protocol import (
     simulate_sifting,
 )
 from .security import (
-    AttackModel,
     Effective2x2,
     EveEnsemble,
     SecurityReport,
@@ -61,7 +60,6 @@ from .security import (
     effective_state,
     eve_ensemble,
     eve_overlap,
-    finite_coherent_secure,
     individual_attack_secure,
     optimize_rate,
     rate_lower_bound,

@@ -6,7 +6,9 @@ Monte-Carlo of the measurement + distillation protocol, JSON), and
 ``oracle-check`` (grid-oracle agreement suite).
 
 Values may come from flags, from a ``key=value`` config file (``--config``),
-or from defaults, in that precedence order.  Exit codes: 0 success, 1 usage
+or from defaults, in that precedence order.  Config entries are parsed as
+``--key=value`` flags placed ahead of the command line, so they get the same
+type and choice checks and the real flags win.  Exit codes: 0 success, 1 usage
 or parse error, 2 domain error (unphysical parameters), 3 internal numerical
 failure.
 """
@@ -54,8 +56,11 @@ def _fmt(x):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -64,36 +69,23 @@ def _dump_json(obj, out_path):
     _emit(json.dumps(obj, indent=2) + "\n", out_path)
 
 
-_CONFIG_ALIASES = {"lambda": "lam"}
-
-
 def _read_config(path):
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            values[_CONFIG_ALIASES.get(key, key)] = val.strip()
-    return values
-
-
-def _merge_config(args, parser_defaults):
-    """CLI flags beat config-file entries beat defaults."""
-    if not getattr(args, "config", None):
-        return args
-    cfg = _read_config(args.config)
-    for key, raw in cfg.items():
-        if key not in parser_defaults:
-            raise _UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) is None:
-            caster = parser_defaults[key]
-            setattr(args, key, caster(raw))
-    return args
+    """The ``key=value`` lines of a config file as ``--key=value`` tokens."""
+    tokens = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read config: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
 
 
 def _require(args, names):
@@ -114,9 +106,7 @@ def _add_param_flags(sp):
 
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 12345)")
     sp.add_argument("--out", default=None, help="write output to this file instead of stdout")
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
     sp.add_argument("--config", default=None, help="key=value config file")
 
 
@@ -130,11 +120,6 @@ def build_parser():
     _add_param_flags(sp)
     sp.add_argument("--x0-max", dest="x0_max", type=float, default=None,
                     help="upper end of the threshold search range (default 5)")
-    sp.add_argument("--attack", action="append", default=None,
-                    choices=security.ATTACK_KINDS,
-                    help="attack models of interest (report always carries all)")
-    sp.add_argument("--ne", type=int, default=None,
-                    help="coherently measured symbols for finite-coherent (default 1)")
     _add_common(sp)
 
     sp = sub.add_parser("frontier", help="security frontier over the cx=cp=c slice")
@@ -142,7 +127,7 @@ def build_parser():
     sp.add_argument("--c-max", dest="c_max", type=float, default=None)
     sp.add_argument("--steps", type=int, default=None, help="grid points (default 30)")
     sp.add_argument("--attack", default=None, choices=security.ATTACK_KINDS)
-    sp.add_argument("--ne", type=int, default=None)
+    sp.add_argument("--format", choices=("json", "csv"), default=None)
     _add_common(sp)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo of sifting + advantage distillation")
@@ -155,6 +140,7 @@ def build_parser():
                     help="advantage-distillation block size (default 2)")
     sp.add_argument("--workers", type=int, default=None,
                     help="worker threads; output does not depend on this")
+    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 12345)")
     _add_common(sp)
 
     sp = sub.add_parser("oracle-check", help="grid-oracle agreement suite")
@@ -167,7 +153,6 @@ def build_parser():
 def cmd_analyze(args):
     _require(args, ("lam", "cx", "cp"))
     x0_max = args.x0_max if args.x0_max is not None else 5.0
-    n_e = args.ne if args.ne is not None else 1
     try:
         params = _params(args)
     except InvalidInput as exc:
@@ -176,7 +161,7 @@ def cmd_analyze(args):
     if not physical_symmetric(params):
         print("unphysical parameters", file=sys.stderr)
         return _EXIT_DOMAIN
-    report = security.build_report(params, x0_max=x0_max, n_e=n_e)
+    report = security.build_report(params, x0_max=x0_max)
     _dump_json(
         {
             "lambda": _fmt(params.lam),
@@ -208,9 +193,8 @@ def cmd_frontier(args):
     if c_min <= 0:
         print("correlations must be positive", file=sys.stderr)
         return _EXIT_DOMAIN
-    attack = security.AttackModel(kind, args.ne if kind == security.FINITE_COHERENT else None)
     grid = np.linspace(c_min, c_max, steps)
-    points = security.security_frontier(grid, attack)
+    points = security.security_frontier(grid, kind)
     if (args.format or "csv") == "json":
         _dump_json(
             [
@@ -240,6 +224,8 @@ def cmd_simulate(args):
     block_n = args.block_n if args.block_n is not None else 2
     seed = args.seed if args.seed is not None else 12345
     workers = args.workers if args.workers is not None else 1
+    if workers < 1:
+        raise _UsageError("--workers must be at least 1")
     try:
         params = _params(args)
     except InvalidInput as exc:
@@ -361,20 +347,14 @@ def cmd_oracle_check(args):
     return 0 if failures == 0 else _EXIT_NUMERICAL
 
 
-_CONFIG_CASTERS = {
-    "lam": float, "cx": float, "cp": float, "x0": float, "x0_max": float,
-    "window": float, "pairs": int, "block_n": int, "seed": int, "steps": int,
-    "c_min": float, "c_max": float, "ne": int, "workers": int, "attack": str,
-    "level": str, "format": str, "out": str,
-}
-
-
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        known = {k: v for k, v in _CONFIG_CASTERS.items() if hasattr(args, k)}
-        args = _merge_config(args, known)
+        if args.config:
+            # the command comes first: the top-level parser has no options
+            args = parser.parse_args(argv[:1] + _read_config(args.config) + argv[1:])
         handler = {
             "analyze": cmd_analyze,
             "frontier": cmd_frontier,

@@ -328,19 +328,21 @@ class SymmetricStateParams:
 
 
 def physical_symmetric(p):
-    """Closed-form physicality test: lam^2 - cx*cp - 1 >= lam*(cx - cp).
+    """Closed-form physicality test: lam^2 - cx*cp - 1 >= lam*(cx - cp),
+    evaluated in the factored form (lam - cx)(lam + cp) >= 1 so that huge
+    parameters cannot overflow.
 
     The margin is allowed the same -1e-9 band as the matrix-level
     :func:`is_physical`, so boundary states built from rounded square roots
     stay inside the family.
     """
-    return bool(p.lam**2 - p.cx * p.cp - 1.0 - p.lam * (p.cx - p.cp) >= -_PHYS_TOL)
+    return bool((p.lam - p.cx) * (p.lam + p.cp) - 1.0 >= -_PHYS_TOL)
 
 
 def npt_symmetric(p):
     """Closed-form entanglement (NPPT) test: lam^2 + cx*cp - 1 < lam*(cx + cp),
-    strictly."""
-    return bool(p.lam**2 + p.cx * p.cp - 1.0 < p.lam * (p.cx + p.cp))
+    strictly; evaluated as (lam - cx)(lam - cp) < 1."""
+    return bool((p.lam - p.cx) * (p.lam - p.cp) < 1.0)
 
 
 def symmetric_embed(p):

@@ -102,12 +102,12 @@ def joint_sign_distribution(p, x0):
 
 def error_probability(p, x0):
     """Zero-width postselection error probability
-    ``1 / (1 + exp(4 cx x0^2 / (lam^2 - cx^2)))``."""
+    ``1 / (1 + exp(4 cx x0^2 / ((lam - cx)(lam + cx))))``."""
     if p.lam == p.cx:
         raise DegenerateParams("lam == cx puts the error formula on a pole")
     if not physical_symmetric(p):
         raise InvalidInput(f"unphysical parameters {p}")
-    return float(1.0 / (1.0 + np.exp(4.0 * p.cx * x0**2 / (p.lam**2 - p.cx**2))))
+    return float(1.0 / (1.0 + np.exp(4.0 * p.cx * x0 * x0 / ((p.lam - p.cx) * (p.lam + p.cx)))))
 
 
 def ad_error(eps, n):
@@ -154,6 +154,7 @@ def simulate_sifting(p, cfg, rng, workers=1):
     def run(i):
         return _sift_chunk(p, cfg, rng.substream(i), sizes[i])
 
+    workers = min(workers, len(sizes))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

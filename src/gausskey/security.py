@@ -12,6 +12,11 @@ Their pairwise overlaps drive every security statement here:
 * general one-way bound: ``R >= (1 - h(eps)) - S(rho)`` with ``rho`` the
   effective two-qubit state traced over the adversary.
 
+On this family the error ratio and every overlap are Gaussian in the
+threshold, so per-state exponents (:func:`_exponents`) give all of the above
+in closed form, and the overlap conditions do not depend on the threshold.
+:func:`eve_ensemble` keeps the generic route as the tests' reference.
+
 Frontier scans locate, per correlation strength, the largest local variance
 that still admits a secure threshold choice.
 """
@@ -41,29 +46,15 @@ COHERENT_AD = "coherent-ad"
 GENERAL = "general"
 ATTACK_KINDS = (INDIVIDUAL, FINITE_COHERENT, COHERENT_AD, GENERAL)
 
+# power of |<e_++|e_-->| in each overlap-based key condition
+_OVERLAP_POWER = {INDIVIDUAL: 1, FINITE_COHERENT: 1, COHERENT_AD: 2}
+
 _DEFAULT_X0_GRID = np.linspace(0.25, 5.0, 20)
 
 # positivity floor for the one-way rate: near the entanglement boundary the
 # true optimum approaches zero from below and double-precision noise (~1e-16)
 # must not read as a positive rate
 _RATE_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class AttackModel:
-    """Adversary model; ``n_e`` is the coherently measured symbol count for
-    the finite-coherent case (bookkeeping only, the condition is identical
-    to the individual one)."""
-
-    kind: str
-    n_e: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise InvalidInput(f"unknown attack kind {self.kind!r}")
-        if self.kind == FINITE_COHERENT:
-            if self.n_e is None or self.n_e < 1:
-                raise InvalidInput("finite-coherent attack needs n_e >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,7 +81,6 @@ class SecurityReport:
     physical: bool
     nppt: bool
     individual_secure: bool
-    finite_coherent_secure: bool
     coherent_ad_secure: bool
     general_secure: bool
     best_x0: float
@@ -103,16 +93,57 @@ def _sign_outcomes(key, x0):
     return np.array([x0 if s == "+" else -x0 for s in key])
 
 
+def _check_x0(x0):
+    if not (np.isfinite(x0) and x0 != 0):
+        raise InvalidInput("x0 must be nonzero")
+
+
+def _exponents(p):
+    """Per-state exponents ``(r, Q)``: ``eps/(1-eps) = exp(-r x0^2)`` and
+    ``<e_s|e_t> = exp(-Q[s, t] x0^2)``, signs ordered like :data:`SIGN_ORDER`.
+
+    In the modes ``(A +- B)/sqrt(2)``, read at ``x_+- = (x_A +- x_B)/sqrt(2)``,
+    the state is a product of single-mode states with CM ``diag(Vx, Vp)`` =
+    ``(lam + cx, lam - cp)`` and ``(lam - cx, lam + cp)``.  The pair
+    ``(x_A, x_B)`` has covariance ``gx/2``, ``gx = [[lam, cx], [cx, lam]]``, so
+    discordant over concordant density is ``exp(-2x0^2/(lam-cx) + 2x0^2/(lam+cx))``
+    and ``r = 4 cx / ((lam - cx)(lam + cx))``.  Per mode, the adversary's states
+    conditioned on outcomes ``x, x'`` overlap like the position-space density
+    matrix ``rho(x, x') ~ exp(-(x + x')^2/(4 Vx) - Vp (x - x')^2/4)``, i.e.
+    ``exp(-(x - x')^2 (Vp - 1/Vx)/4)`` once normalized, for any purification.
+    ``++`` against ``--`` moves ``x_+`` by ``2 sqrt(2) x0``, giving
+    ``q_same = 2(lam - cp) - 2/(lam + cx)``; ``+-`` against ``-+`` moves ``x_-``
+    alike, ``q_diff = 2(lam + cp) - 2/(lam - cx)``; a mixed pair moves both by
+    ``sqrt(2) x0``, ``q_mix = (q_same + q_diff)/4``.
+
+    The generic route of :func:`eve_ensemble` agrees: its conditional CM is
+    ``blockdiag(gx, gx^-1)`` at every outcome and its displacements are
+    momentum-only and linear in ``(x_A, x_B)``, so the Gram matrix is real and
+    Gaussian in ``x0``.  Tests pin the two routes together.
+    """
+    if not physical_symmetric(p):
+        raise InvalidInput(f"unphysical parameters {p}")
+    minus, plus = p.lam - p.cx, p.lam + p.cx
+    q_same = 2.0 * (p.lam - p.cp) - 2.0 / plus
+    q_diff = 2.0 * (p.lam + p.cp) - 2.0 / minus
+    q = np.full((4, 4), 0.25 * (q_same + q_diff))
+    q[0, 1] = q[1, 0] = q_same
+    q[2, 3] = q[3, 2] = q_diff
+    np.fill_diagonal(q, 0.0)
+    return 4.0 * p.cx / (minus * plus), q
+
+
 def eve_ensemble(p, x0):
     """Purify the embedded state, condition the purifying modes on the four
     sign combinations of ``(x_A, x_B) = (+-x0, +-x0)``, and collect the
     pairwise pure-state overlaps.
 
-    A negative ``x0`` relabels the four sectors and leaves every derived
-    quantity invariant; zero is rejected.
+    This is the generic reference route; the closed forms of
+    :func:`_exponents` reproduce its Gram matrix.  A negative ``x0``
+    relabels the four sectors and leaves every derived quantity invariant;
+    zero is rejected.
     """
-    if not (np.isfinite(x0) and x0 != 0):
-        raise InvalidInput("x0 must be nonzero")
+    _check_x0(x0)
     pur = purify(symmetric_embed(p))
     states = {
         key: condition_on_x(pur, (0, 1), _sign_outcomes(key, x0)) for key in SIGN_ORDER
@@ -130,33 +161,37 @@ def eve_ensemble(p, x0):
 
 
 def eve_overlap(p, x0):
-    """``|<e_++|e_-->|`` for the given parameters and threshold."""
-    return float(np.abs(eve_ensemble(p, x0).gram[0, 1]))
+    """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
+    threshold."""
+    _check_x0(x0)
+    return float(np.exp(-_exponents(p)[1][0, 1] * x0 * x0))
+
+
+def _key_condition(p, kind):
+    """``eps/(1-eps) < |<e_++|e_-->|**power`` for the attack kind; both sides
+    are ``exp(-k x0^2)``, so this is ``r > power * q_same`` at every nonzero
+    threshold."""
+    if kind == GENERAL:
+        raise InvalidInput("use optimize_rate for the general one-way bound")
+    if kind not in _OVERLAP_POWER:
+        raise InvalidInput(f"unknown attack kind {kind!r}")
+    r, q = _exponents(p)
+    return bool(r > _OVERLAP_POWER[kind] * q[0, 1])
 
 
 def individual_attack_secure(p, x0):
     """Key condition against symbol-by-symbol adversary measurements:
-    ``eps/(1-eps) < |<e_++|e_-->|``."""
-    eps = error_probability(p, x0)
-    ens = eve_ensemble(p, x0)
-    return bool(eps / (1.0 - eps) < np.abs(ens.gram[0, 1]))
-
-
-def finite_coherent_secure(p, x0, n_e=1):
-    """Key condition when the adversary measures ``n_e`` symbols coherently
-    before reconciliation; the threshold coincides with the individual one,
-    ``n_e`` only enters reports."""
-    if n_e < 1:
-        raise InvalidInput("n_e must be at least 1")
-    return individual_attack_secure(p, x0)
+    ``eps/(1-eps) < |<e_++|e_-->|``; the same at every nonzero ``x0``."""
+    _check_x0(x0)
+    return _key_condition(p, INDIVIDUAL)
 
 
 def coherent_ad_secure(p, x0):
     """Key condition when the adversary measures a whole distillation block
-    coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``."""
-    eps = error_probability(p, x0)
-    ens = eve_ensemble(p, x0)
-    return bool(eps / (1.0 - eps) < np.abs(ens.gram[0, 1]) ** 2)
+    coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``; the same at every nonzero
+    ``x0``."""
+    _check_x0(x0)
+    return _key_condition(p, COHERENT_AD)
 
 
 def effective_state(p, x0):
@@ -164,14 +199,14 @@ def effective_state(p, x0):
 
     Amplitudes ``sqrt((1-eps)/2)`` sit on the concordant outcomes and
     ``sqrt(eps/2)`` on the discordant ones; tracing out the adversary leaves
-    ``rho[s, t] = c_s c_t <e_t|e_s>``.
+    ``rho[s, t] = c_s c_t <e_t|e_s>``, with the real Gram matrix
+    ``exp(-x0^2 Q)`` of :func:`_exponents`.
     """
+    _check_x0(x0)
+    gram = np.exp(-(x0 * x0) * _exponents(p)[1])
     eps = error_probability(p, x0)
-    ens = eve_ensemble(p, x0)
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
-    rho = (c[:, None] * c[None, :]) * ens.gram.T
-    rho = 0.5 * (rho + rho.conj().T)
-    return Effective2x2(rho, eps)
+    return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
 def rate_lower_bound(p, x0):
@@ -201,36 +236,18 @@ def optimize_rate(p, x0_max=5.0):
 
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     """Whether some threshold on the grid satisfies the overlap-based key
-    condition of the given attack model.
-
-    Builds the conditional ensemble once at a reference threshold and slides
-    it along the grid: the conditional displacements are linear in the
-    outcomes, so ``|<e_++|e_-->|(x0) = exp(-q x0^2)`` with ``q`` read off the
-    reference point.  Agrees with calling the per-point predicates on every
-    grid node (covered by tests) at a fraction of the cost.
-    """
-    kind = attack.kind if isinstance(attack, AttackModel) else attack
-    if kind == GENERAL:
-        raise InvalidInput("use optimize_rate for the general one-way bound")
-    if kind not in ATTACK_KINDS:
-        raise InvalidInput(f"unknown attack kind {kind!r}")
-    power = 2.0 if kind == COHERENT_AD else 1.0
+    condition of the given attack model.  The condition does not depend on
+    the threshold, so the grid is only validated."""
     grid = _DEFAULT_X0_GRID if x0_grid is None else np.asarray(x0_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0:
         raise InvalidInput("x0 grid must be positive")
-    q = -np.log(eve_overlap(p, 1.0))
-    if p.lam == p.cx:
-        raise InvalidInput("lam == cx is unphysical")
-    r = 4.0 * p.cx / (p.lam**2 - p.cx**2)  # eps/(1-eps) = exp(-r x0^2)
-    x2 = grid**2
-    return bool(np.any(np.exp(-r * x2) < np.exp(-power * q * x2)))
+    return _key_condition(p, attack)
 
 
 def _frontier_predicate(attack):
-    kind = attack.kind if isinstance(attack, AttackModel) else attack
-    if kind == GENERAL:
+    if attack == GENERAL:
         return lambda p: optimize_rate(p)[1] > _RATE_FLOOR
-    return lambda p: any_x0_secure(p, attack=kind)
+    return lambda p: _key_condition(p, attack)
 
 
 def security_frontier(c_grid, attack=INDIVIDUAL):
@@ -268,24 +285,20 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     return out
 
 
-def build_report(p, x0_max=5.0, n_e=1):
+def build_report(p, x0_max=5.0):
     """Full per-state analysis at the rate-optimal threshold."""
     if not physical_symmetric(p):
         raise InvalidInput(f"unphysical parameters {p}")
     best_x0, rate = optimize_rate(p, x0_max)
-    eps = error_probability(p, best_x0)
-    overlap = eve_overlap(p, best_x0)
-    individual = bool(eps / (1.0 - eps) < overlap)
     return SecurityReport(
         params=p,
         physical=True,
         nppt=npt_symmetric(p),
-        individual_secure=individual,
-        finite_coherent_secure=finite_coherent_secure(p, best_x0, n_e),
-        coherent_ad_secure=bool(eps / (1.0 - eps) < overlap**2),
+        individual_secure=_key_condition(p, INDIVIDUAL),
+        coherent_ad_secure=_key_condition(p, COHERENT_AD),
         general_secure=bool(rate > _RATE_FLOOR),
         best_x0=best_x0,
         rate_lb=rate,
-        eps_ab=eps,
-        eve_overlap=overlap,
+        eps_ab=error_probability(p, best_x0),
+        eve_overlap=eve_overlap(p, best_x0),
     )

@@ -46,6 +46,13 @@ class TestAnalyze:
         assert code == 1
         assert "cp" in err
 
+    def test_huge_lambda_does_not_overflow(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--lambda", "1e300", "--cx", "1", "--cp", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["physical"] is True and doc["nppt"] is False
+        assert doc["rate_lb"] <= 0
+
 
 class TestFrontier:
     def test_individual_matches_dashed(self, capsys):
@@ -171,10 +178,23 @@ class TestConfigPrecedence:
         assert json.loads(out)["nppt"] is True
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus=1\n")
-        code, _, _ = run(capsys, "analyze", "--config", str(cfg))
-        assert code == 1
+        # config values pass the same type and choice checks as flags
+        cases = [
+            ("analyze", "bogus=1\n"),
+            ("analyze", "lambda=abc\ncx=1\ncp=1\n"),
+            ("analyze", "lambda=1.5\ncx=1\ncp=1\nseed=3\n"),
+            ("oracle-check", "level=bogus\n"),
+            ("frontier", "format=xml\n"),
+            ("simulate", "lambda=1.5\ncx=1\ncp=1\nx0=1\nworkers=0\n"),
+            ("analyze", None),  # missing file
+        ]
+        for i, (command, text) in enumerate(cases):
+            cfg = tmp_path / f"run{i}.cfg"
+            if text is not None:
+                cfg.write_text(text)
+            code, out, err = run(capsys, command, "--config", str(cfg))
+            assert code == 1, (command, text)
+            assert out == "" and len(err.strip().splitlines()) == 1, (command, text, err)
 
 
 class TestOutputConventions:
@@ -192,6 +212,21 @@ class TestOutputConventions:
         val = json.loads(out)["eve_overlap"]
         assert val == float(f"{val:.12g}")
 
-    def test_unknown_flag_exits_1(self, capsys):
-        code, _, _ = run(capsys, "analyze", "--nonsense", "1")
-        assert code == 1
+    def test_unknown_flag_exits_1(self, tmp_path, capsys):
+        point = ("--lambda", "1.5", "--cx", "1", "--cp", "1")
+        cases = [
+            ("analyze", "--nonsense", "1"),
+            ("analyze", *point, "--attack", "individual"),
+            ("analyze", *point, "--ne", "2"),
+            ("analyze", *point, "--seed", "3"),
+            ("analyze", *point, "--format", "json"),
+            ("frontier", "--ne", "2"),
+            ("oracle-check", "--seed", "3"),
+            ("simulate", *point, "--x0", "1", "--workers", "0"),
+            ("simulate", *point, "--x0", "1", "--workers", "-1"),
+            ("analyze", *point, "--out", str(tmp_path / "missing" / "report.json")),
+        ]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 1, argv
+            assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)

@@ -65,6 +65,27 @@ class TestEveEnsemble:
             sec.eve_ensemble(P111, 0.0)
 
 
+def reference_rate(p, x0):
+    """One-way rate built on the generic ensemble of ``eve_ensemble``."""
+    eps = error_probability(p, x0)
+    c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
+    rho = (c[:, None] * c[None, :]) * sec.eve_ensemble(p, x0).gram.T
+    w, _ = matkit.eigh(0.5 * (rho + rho.conj().T))
+    return 1.0 - matkit.binary_entropy(eps) - matkit.entropy_bits(np.clip(w.real, 0.0, None))
+
+
+class TestClosedFormReference:
+    def test_matches_generic_pipeline(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            p = random_symmetric_params(rng)
+            _, q = sec._exponents(p)
+            for x0 in (1e-3, 0.5, 1.0, 2.5, 5.0):
+                gram = sec.eve_ensemble(p, x0).gram
+                assert np.abs(np.exp(-x0 * x0 * q) - gram).max() < 1e-12, (p, x0)
+                assert abs(sec.rate_lower_bound(p, x0) - reference_rate(p, x0)) < 1e-12, (p, x0)
+
+
 class TestAttackConditions:
     def test_individual_reference_point(self):
         assert sec.individual_attack_secure(P111, 1.0)
@@ -88,8 +109,9 @@ class TestAttackConditions:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             p = random_symmetric_params(rng)
-            x0 = rng.uniform(0.2, 3.0)
-            assert sec.finite_coherent_secure(p, x0, n_e=10) == sec.individual_attack_secure(p, x0)
+            assert sec.any_x0_secure(p, attack=sec.FINITE_COHERENT) == sec.any_x0_secure(
+                p, attack=sec.INDIVIDUAL
+            )
 
     def test_coherent_ad_pure_boundary_secure(self):
         p = pure_boundary_params(2.0)
@@ -120,14 +142,19 @@ class TestAttackConditions:
 
 class TestAnyX0Secure:
     def test_agrees_with_pointwise_predicates(self):
+        # pointwise conditions evaluated on the generic ensemble
         rng = np.random.default_rng(5)
         grid = np.linspace(0.4, 3.0, 7)
         for _ in range(25):
             p = random_symmetric_params(rng)
-            slow_ind = any(sec.individual_attack_secure(p, x) for x in grid)
-            slow_coh = any(sec.coherent_ad_secure(p, x) for x in grid)
+            ratios = [error_probability(p, x) / (1 - error_probability(p, x)) for x in grid]
+            overlaps = [abs(sec.eve_ensemble(p, x).gram[0, 1]) for x in grid]
+            slow_ind = any(r < o for r, o in zip(ratios, overlaps))
+            slow_coh = any(r < o**2 for r, o in zip(ratios, overlaps))
             assert sec.any_x0_secure(p, grid, sec.INDIVIDUAL) == slow_ind
             assert sec.any_x0_secure(p, grid, sec.COHERENT_AD) == slow_coh
+            assert all(sec.individual_attack_secure(p, x) == slow_ind for x in grid)
+            assert all(sec.coherent_ad_secure(p, x) == slow_coh for x in grid)
 
     def test_rejects_general(self):
         with pytest.raises(InvalidInput):
@@ -142,9 +169,11 @@ class TestEffectiveState:
         assert matkit.entropy_bits(np.clip(w, 0, None)) < 1e-9
 
     def test_identity_gram_gives_classical_mixture(self, monkeypatch):
-        ens = sec.eve_ensemble(P111, 1.0)
-        fake = sec.EveEnsemble(ens.states, np.eye(4, dtype=complex))
-        monkeypatch.setattr(sec, "eve_ensemble", lambda p, x0: fake)
+        # infinite off-diagonal exponents make the Gram matrix the identity
+        r, _ = sec._exponents(P111)
+        q = np.full((4, 4), np.inf)
+        np.fill_diagonal(q, 0.0)
+        monkeypatch.setattr(sec, "_exponents", lambda p: (r, q))
         eff = sec.effective_state(P111, 1.0)
         eps = eff.eps_ab
         want = np.diag([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2])
@@ -261,7 +290,7 @@ class TestBuildReport:
     def test_reference_point(self):
         rep = sec.build_report(P111)
         assert rep.physical and rep.nppt
-        assert rep.individual_secure and rep.finite_coherent_secure
+        assert rep.individual_secure and rep.coherent_ad_secure
         assert rep.general_secure == (rep.rate_lb > 0)
         eps = error_probability(P111, rep.best_x0)
         assert abs(eps - rep.eps_ab) < 1e-15
