@@ -14,6 +14,7 @@ failure.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -148,6 +149,13 @@ def build_parser():
                     help="quick skips the 4-mode grid (default quick)")
     _add_common(sp)
     return parser
+
+
+@functools.cache
+def _parser():
+    """The parser :func:`main` reuses, built on first use: parsing leaves
+    nothing on it, each call returns a fresh namespace."""
+    return build_parser()
 
 
 def cmd_analyze(args):
@@ -348,7 +356,7 @@ def cmd_oracle_check(args):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)

@@ -6,8 +6,9 @@ routines with the validation and conventions the rest of the code relies on:
 
 * ``eigh`` for (near-)Hermitian matrices, symmetrizing tiny asymmetries,
 * ``pseudo_inverse`` with a relative singular-value cutoff,
-* ``minimize_scalar``, a 64-point coarse scan followed by golden-section
-  refinement (the scan guards against landing in the wrong basin),
+* ``minimize_scalar``, repeated 64-point scans of a vectorized objective,
+  each over the best bracket of the last (the first scan guards against
+  landing in the wrong basin),
 * ``sample_mvn``, multivariate normal sampling through the spectral square
   root of the covariance,
 * ``Rng``, a counter-based Philox stream that can be split by index so that
@@ -18,8 +19,6 @@ routines with the validation and conventions the rest of the code relies on:
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput, NotPSD
-
-_INV_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_finite(a, name):
@@ -107,43 +106,28 @@ def pseudo_inverse(m, tol=1e-10):
 def minimize_scalar(f, lo, hi, tol=1e-8, scan_points=64):
     """Minimize a scalar function on ``[lo, hi]``.
 
-    A ``scan_points``-point coarse scan locates the best basin, then
-    golden-section refinement shrinks the bracket below ``tol``.  For a
-    unimodal basin the returned ``x`` is within ``tol`` of its argmin.
-    Returns ``(x, f(x))``.
+    ``f`` is vectorized: it takes an array of points and returns one value per
+    point.  A ``scan_points``-point scan of ``[lo, hi]`` locates the best
+    basin; each further scan covers the bracket around the best point of the
+    last, until that bracket is at most ``tol`` wide (or stops shrinking at
+    the floating-point resolution of huge brackets).  For a unimodal basin
+    the returned ``x`` is within ``tol`` of its argmin.  Returns the best
+    scanned point and its value ``(x, f(x))``.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidInput("need finite lo < hi")
 
-    def ev(x):
-        y = f(x)
-        if not np.isfinite(y):
-            raise EvaluationError(x)
-        return y
-
-    xs = np.linspace(lo, hi, scan_points)
-    ys = np.array([ev(x) for x in xs])
-    k = int(np.argmin(ys))
-    a = xs[max(k - 1, 0)]
-    b = xs[min(k + 1, scan_points - 1)]
-
-    # golden-section on [a, b]
-    h = b - a
-    c, d = b - _INV_GOLDEN * h, a + _INV_GOLDEN * h
-    yc, yd = ev(c), ev(d)
-    while h > tol:
-        if yc < yd:
-            b, d, yd = d, c, yc
-            h = b - a
-            c = b - _INV_GOLDEN * h
-            yc = ev(c)
-        else:
-            a, c, yc = c, d, yd
-            h = b - a
-            d = a + _INV_GOLDEN * h
-            yd = ev(d)
-    x_best = 0.5 * (a + b)
-    return x_best, ev(x_best)
+    while True:
+        xs = np.linspace(lo, hi, scan_points)
+        ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+        bad = ~np.isfinite(ys)
+        if bad.any():
+            raise EvaluationError(xs[np.argmax(bad)])
+        k = int(np.argmin(ys))
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, scan_points - 1)]
+        if b - a <= tol or b - a >= hi - lo:
+            return xs[k], ys[k]
+        lo, hi = a, b
 
 
 def sample_mvn(cov, n, rng):
@@ -167,20 +151,23 @@ def sample_mvn(cov, n, rng):
     return z @ root
 
 
+def _xlog2x(w):
+    return w * np.log2(np.where(w > 0.0, w, 1.0))
+
+
 def binary_entropy(p):
-    """Binary entropy in bits, with the 0*log(0) = 0 convention."""
-    if not 0.0 <= p <= 1.0:
+    """Binary entropy in bits, with the 0*log(0) = 0 convention; elementwise
+    on arrays, a float for a scalar."""
+    p = np.asarray(p, dtype=float)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
         raise InvalidInput("probability must lie in [0, 1]")
-    out = 0.0
-    if p > 0.0:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        out -= (1.0 - p) * np.log2(1.0 - p)
-    return float(out)
+    out = -(_xlog2x(p) + _xlog2x(1.0 - p))
+    return float(out) if out.ndim == 0 else out
 
 
 def entropy_bits(weights):
-    """Shannon entropy in bits of a nonnegative weight vector.
+    """Shannon entropy in bits of nonnegative weights along the last axis: a
+    float for a vector, an array for a stack of them.
 
     Intended for eigenvalues of a trace-one density matrix; values in
     ``[-1e-9, 0)`` are treated as rounding noise and clipped to zero.
@@ -189,6 +176,5 @@ def entropy_bits(weights):
     _require_finite(w, "weights")
     if w.min(initial=0.0) < -1e-9:
         raise InvalidInput(f"weights must be nonnegative, got min {w.min()}")
-    w = np.clip(w, 0.0, None)
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum())
+    out = -_xlog2x(np.clip(w, 0.0, None)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out

@@ -100,14 +100,25 @@ def joint_sign_distribution(p, x0):
     return table / table.sum()
 
 
+def error_from_exponent(a):
+    """``1 / (1 + exp(a))`` for an exponent ``a >= 0``, evaluated as
+    ``exp(-a) / (1 + exp(-a))`` so that no ``a`` up to ``inf`` overflows;
+    elementwise on arrays."""
+    e = np.exp(-a)
+    return e / (1.0 + e)
+
+
 def error_probability(p, x0):
-    """Zero-width postselection error probability
-    ``1 / (1 + exp(4 cx x0^2 / ((lam - cx)(lam + cx))))``."""
+    """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
+    with ``r = 4 cx / ((lam - cx)(lam + cx))``; ``cx = 0`` gives 1/2 at every
+    threshold, ``x0 = inf`` included."""
     if p.lam == p.cx:
         raise DegenerateParams("lam == cx puts the error formula on a pole")
     if not physical_symmetric(p):
         raise InvalidInput(f"unphysical parameters {p}")
-    return float(1.0 / (1.0 + np.exp(4.0 * p.cx * x0 * x0 / ((p.lam - p.cx) * (p.lam + p.cx)))))
+    r = 4.0 * p.cx / ((p.lam - p.cx) * (p.lam + p.cx))
+    x2 = float(x0) * float(x0)
+    return float(error_from_exponent(r * x2 if r else 0.0))
 
 
 def ad_error(eps, n):

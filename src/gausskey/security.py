@@ -36,7 +36,7 @@ from .gaussian import (
     purify,
     symmetric_embed,
 )
-from .protocol import error_probability
+from .protocol import error_from_exponent
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -94,8 +94,21 @@ def _sign_outcomes(key, x0):
 
 
 def _check_x0(x0):
-    if not (np.isfinite(x0) and x0 != 0):
+    x0 = np.asarray(x0)
+    if not (np.isfinite(x0) & (x0 != 0)).all():
         raise InvalidInput("x0 must be nonzero")
+
+
+def _exponent(k, x0):
+    """``k * x0^2`` for an exponent ``k`` of :func:`_exponents`: overflow to
+    ``inf`` is meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
+    included.  Overlaps of normalized states never exceed 1, so a negative
+    ``k`` is rounding at the pure boundary or the ``-1e-9`` physicality band;
+    taken as is it would blow up at huge thresholds."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(over="ignore"):
+        x2 = np.square(x0, dtype=float)
+        return np.multiply(k, x2, out=np.zeros(np.broadcast(k, x2).shape), where=k > 0)
 
 
 def _exponents(p):
@@ -164,18 +177,18 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(-_exponents(p)[1][0, 1] * x0 * x0))
+    return float(np.exp(-_exponent(_exponents(p)[1][0, 1], x0)))
 
 
-def _key_condition(p, kind):
-    """``eps/(1-eps) < |<e_++|e_-->|**power`` for the attack kind; both sides
-    are ``exp(-k x0^2)``, so this is ``r > power * q_same`` at every nonzero
-    threshold."""
+def _key_condition(exponents, kind):
+    """``eps/(1-eps) < |<e_++|e_-->|**power`` for the attack kind, given the
+    state's :func:`_exponents`; both sides are ``exp(-k x0^2)``, so this is
+    ``r > power * q_same`` at every nonzero threshold."""
     if kind == GENERAL:
         raise InvalidInput("use optimize_rate for the general one-way bound")
     if kind not in _OVERLAP_POWER:
         raise InvalidInput(f"unknown attack kind {kind!r}")
-    r, q = _exponents(p)
+    r, q = exponents
     return bool(r > _OVERLAP_POWER[kind] * q[0, 1])
 
 
@@ -183,7 +196,7 @@ def individual_attack_secure(p, x0):
     """Key condition against symbol-by-symbol adversary measurements:
     ``eps/(1-eps) < |<e_++|e_-->|``; the same at every nonzero ``x0``."""
     _check_x0(x0)
-    return _key_condition(p, INDIVIDUAL)
+    return _key_condition(_exponents(p), INDIVIDUAL)
 
 
 def coherent_ad_secure(p, x0):
@@ -191,7 +204,7 @@ def coherent_ad_secure(p, x0):
     coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``; the same at every nonzero
     ``x0``."""
     _check_x0(x0)
-    return _key_condition(p, COHERENT_AD)
+    return _key_condition(_exponents(p), COHERENT_AD)
 
 
 def effective_state(p, x0):
@@ -200,36 +213,59 @@ def effective_state(p, x0):
     Amplitudes ``sqrt((1-eps)/2)`` sit on the concordant outcomes and
     ``sqrt(eps/2)`` on the discordant ones; tracing out the adversary leaves
     ``rho[s, t] = c_s c_t <e_t|e_s>``, with the real Gram matrix
-    ``exp(-x0^2 Q)`` of :func:`_exponents`.
+    ``exp(-x0^2 Q)`` of :func:`_exponents`.  This matrix route is the
+    reference for the closed-form spectrum of :func:`rate_lower_bound`.
     """
     _check_x0(x0)
-    gram = np.exp(-(x0 * x0) * _exponents(p)[1])
-    eps = error_probability(p, x0)
+    r, q = _exponents(p)
+    gram = np.exp(-_exponent(q, x0))
+    eps = float(error_from_exponent(_exponent(r, x0)))
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
 def rate_lower_bound(p, x0):
     """One-way key-rate lower bound ``(1 - h(eps)) - S(rho)`` in bits per
-    accepted symbol.  Negative values certify nothing at this threshold and
-    are reported as-is."""
-    eff = effective_state(p, x0)
-    w, _ = matkit.eigh(eff.rho)
-    s = matkit.entropy_bits(np.clip(w.real, 0.0, None))
-    return float(1.0 - matkit.binary_entropy(eff.eps_ab) - s)
+    accepted symbol, elementwise over an array of thresholds (a float for a
+    scalar).  Negative values certify nothing at that threshold and are
+    reported as-is.
+
+    In the basis ``(e_++ +- e_--)/sqrt(2), (e_+- +- e_-+)/sqrt(2)`` the state
+    of :func:`effective_state` splits into the eigenvalues
+    ``a^2 (1 - g_same)`` and ``b^2 (1 - g_diff)`` and the block
+    ``[[a^2 (1 + g_same), 2ab g_mix], [2ab g_mix, b^2 (1 + g_diff)]]``, with
+    ``a^2 = (1 - eps)/2``, ``b^2 = eps/2`` and ``g = exp(-q x0^2)``.  Since
+    ``g_mix^2 = sqrt(g_same g_diff)``, the block's determinant is
+    ``a^2 b^2 ((1 - sqrt(g_same g_diff))^2 + (sqrt(g_same) - sqrt(g_diff))^2)``.
+    The ``1 - g`` terms use ``expm1`` and the small root is
+    ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
+    """
+    _check_x0(x0)
+    r, q = _exponents(p)
+    eps = error_from_exponent(_exponent(r, x0))
+    a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
+    k_same, k_diff = _exponent(q[0, 1], x0), _exponent(q[2, 3], x0)
+    k_pair = _exponent(2.0 * q[0, 2], x0)  # g_mix^2 = exp(-k_pair)
+    big = a2 * (1.0 + np.exp(-k_same))
+    small = b2 * (1.0 + np.exp(-k_diff))
+    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * np.exp(-k_pair))
+    det = a2 * b2 * (np.expm1(-k_pair) ** 2 + (np.exp(-0.5 * k_same) - np.exp(-0.5 * k_diff)) ** 2)
+    w = np.stack([-a2 * np.expm1(-k_same), -b2 * np.expm1(-k_diff), top, det / top], axis=-1)
+    rate = 1.0 - matkit.binary_entropy(eps) - matkit.entropy_bits(w)
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def optimize_rate(p, x0_max=5.0):
     """Maximize :func:`rate_lower_bound` over thresholds in ``(0, x0_max]``.
 
-    Coarse scan plus golden-section refinement; the rate is smooth in the
-    threshold but not proven unimodal, hence the scan.
-    Returns ``(best_x0, best_rate)``.
+    Repeated 64-point scans of the vectorized rate, each over the best bracket
+    of the last; the rate is smooth in the threshold but not proven unimodal,
+    hence the scans.  Returns ``(best_x0, best_rate)``.
     """
     if not (np.isfinite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be positive")
     x, neg = matkit.minimize_scalar(
-        lambda x0: -rate_lower_bound(p, x0), 1e-6 * x0_max, x0_max, tol=1e-6
+        lambda xs: -rate_lower_bound(p, xs), 1e-6 * x0_max, x0_max, tol=1e-6
     )
     return float(x), float(-neg)
 
@@ -241,13 +277,13 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     grid = _DEFAULT_X0_GRID if x0_grid is None else np.asarray(x0_grid, dtype=float)
     if grid.size == 0 or grid.min() <= 0:
         raise InvalidInput("x0 grid must be positive")
-    return _key_condition(p, attack)
+    return _key_condition(_exponents(p), attack)
 
 
 def _frontier_predicate(attack):
     if attack == GENERAL:
         return lambda p: optimize_rate(p)[1] > _RATE_FLOOR
-    return lambda p: _key_condition(p, attack)
+    return lambda p: _key_condition(_exponents(p), attack)
 
 
 def security_frontier(c_grid, attack=INDIVIDUAL):
@@ -286,19 +322,23 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
 
 
 def build_report(p, x0_max=5.0):
-    """Full per-state analysis at the rate-optimal threshold."""
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
+    """Full per-state analysis at the rate-optimal threshold.
+
+    NPPT comes from :func:`npt_symmetric` rather than the exponents, so the
+    report's ``nppt`` and ``individual_secure`` stay two routes to one fact.
+    """
+    exponents = _exponents(p)
+    r, q = exponents
     best_x0, rate = optimize_rate(p, x0_max)
     return SecurityReport(
         params=p,
         physical=True,
         nppt=npt_symmetric(p),
-        individual_secure=_key_condition(p, INDIVIDUAL),
-        coherent_ad_secure=_key_condition(p, COHERENT_AD),
+        individual_secure=_key_condition(exponents, INDIVIDUAL),
+        coherent_ad_secure=_key_condition(exponents, COHERENT_AD),
         general_secure=bool(rate > _RATE_FLOOR),
         best_x0=best_x0,
         rate_lb=rate,
-        eps_ab=error_probability(p, best_x0),
-        eve_overlap=eve_overlap(p, best_x0),
+        eps_ab=float(error_from_exponent(_exponent(r, best_x0))),
+        eve_overlap=float(np.exp(-_exponent(q[0, 1], best_x0))),
     )

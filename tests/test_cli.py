@@ -154,6 +154,24 @@ class TestSimulate:
         assert code == 2
 
 
+class TestHugeThresholds:
+    def test_exit_0_without_warnings(self, capsys):
+        # cx = 0 (r = 0) and the exact pure boundary (q_same = 0) meet 0 * inf
+        cases = [
+            ("analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0-max", "1e200"),
+            ("analyze", "--lambda", "1.5", "--cx", "0", "--cp", "0", "--x0-max", "1e200"),
+            ("analyze", "--lambda", "1.25", "--cx", "0.75", "--cp", "0.75", "--x0-max", "1e200"),
+            ("simulate", "--lambda", "400", "--cx", "399.9", "--cp", "0", "--x0", "30",
+             "--window", "0.5", "--pairs", "200000"),
+            ("simulate", "--lambda", "400", "--cx", "0", "--cp", "0", "--x0", "30",
+             "--window", "0.5", "--pairs", "200000"),
+        ]
+        for argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", (argv, err)
+            assert all(np.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+
+
 class TestOracleCheckCommand:
     def test_quick_passes(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--level", "quick")
@@ -195,6 +213,34 @@ class TestConfigPrecedence:
             code, out, err = run(capsys, command, "--config", str(cfg))
             assert code == 1, (command, text)
             assert out == "" and len(err.strip().splitlines()) == 1, (command, text, err)
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        point = ("--lambda", "1.5", "--cx", "1", "--cp", "1")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lambda=1.5\ncx=0\ncp=0\nx0_max=2\n")
+        first = run(capsys, "analyze", *point)
+        sim = run(capsys, *SIM_ARGS, "--workers", "2")
+        from_config = run(capsys, "analyze", "--config", str(cfg))
+        bad = run(capsys, "analyze", *point, "--nonsense", "1")
+        assert first[0] == sim[0] == from_config[0] == 0
+        assert json.loads(from_config[1])["nppt"] is False
+        assert bad[0] == 1 and bad[1] == ""
+        # the same calls again give the same output; values from the config
+        # or earlier flags are not remembered
+        assert run(capsys, "analyze", *point) == first
+        assert run(capsys, *SIM_ARGS, "--workers", "2") == sim
+        assert run(capsys, "analyze", "--config", str(cfg)) == from_config
+        code, _, err = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1")
+        assert code == 1 and "cp" in err
+        code, out, _ = run(capsys, "simulate", *point, "--x0", "1", "--pairs", "300000",
+                           "--block-n", "2", "--seed", "42")
+        assert code == 0 and out == run(capsys, *SIM_ARGS)[1]
 
 
 class TestOutputConventions:

@@ -141,9 +141,38 @@ class TestMinimizeScalar:
         assert abs(x - grid[k]) <= spacing
         assert fx <= vals[k] + 1e-12
 
+    def test_few_batched_calls(self):
+        for f, lo, hi, want in ((lambda x: (x - 1.0) ** 2, 0.0, 3.0, 1.0),
+                                (lambda x: abs(x - 0.3), 0.0, 1.0, 0.3)):
+            batches = []
+
+            def counted(xs):
+                batches.append(np.shape(xs))
+                return f(xs)
+
+            x, _ = matkit.minimize_scalar(counted, lo, hi, tol=1e-8)
+            assert abs(x - want) < 1e-6
+            assert len(batches) <= 8
+            assert all(shape == (64,) for shape in batches)
+
+    def test_edge_minimum_returns_edge(self):
+        x, fx = matkit.minimize_scalar(lambda x: x, 0.25, 1.0, tol=1e-8)
+        assert x == 0.25 and fx == 0.25
+
+    def test_huge_bracket_terminates(self):
+        # no bracket is narrower than tol among floats near 1e199
+        for f, want in ((lambda x: np.abs(x - 5e199), 5e199), (lambda x: -x, 1e200)):
+            x, _ = matkit.minimize_scalar(f, 1e194, 1e200, tol=1e-6)
+            assert abs(x - want) <= 1e-14 * want
+
     def test_non_finite_objective(self):
         with pytest.raises(EvaluationError):
             matkit.minimize_scalar(lambda x: np.nan, 0.0, 1.0)
+
+    def test_non_finite_anywhere_in_batch(self):
+        with pytest.raises(EvaluationError) as info:
+            matkit.minimize_scalar(lambda x: np.where(x > 0.7, np.nan, x), 0.0, 1.0)
+        assert info.value.x > 0.7
 
     def test_bad_bracket(self):
         with pytest.raises(InvalidInput):
@@ -200,6 +229,13 @@ class TestBinaryEntropy:
                 avg = 0.5 * (matkit.binary_entropy(p) + matkit.binary_entropy(q))
                 assert mid >= avg - 1e-12
 
+    def test_elementwise(self):
+        ps = np.array([[0.0, 0.11], [0.5, 1.0]])
+        want = np.vectorize(matkit.binary_entropy)(ps)
+        assert np.array_equal(matkit.binary_entropy(ps), want)
+        with pytest.raises(InvalidInput):
+            matkit.binary_entropy(np.array([0.2, np.nan]))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInput):
             matkit.binary_entropy(1.5)
@@ -220,6 +256,10 @@ class TestEntropyBits:
     def test_rejects_large_negative(self):
         with pytest.raises(InvalidInput):
             matkit.entropy_bits([0.5, -0.5])
+
+    def test_stack_along_last_axis(self):
+        got = matkit.entropy_bits([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, -1e-12]])
+        assert np.abs(got - np.array([0.0, 2.0, 1.0])).max() < 1e-12
 
 
 class TestRng:

@@ -48,6 +48,16 @@ class TestErrorProbability:
     def test_zero_threshold(self):
         assert pr.error_probability(P111, 0.0) == 0.5
 
+    def test_huge_threshold(self):
+        # exp(-a) form: no overflow, and r = 0 stays 1/2 even at x0^2 = inf
+        assert pr.error_probability(P111, 30.0) == 0.0
+        assert pr.error_probability(P111, np.float64(1e200)) == 0.0
+        assert pr.error_probability(SymmetricStateParams(2.0, 0.0, 0.0), 1e200) == 0.5
+
+    def test_exponent_form_matches_logistic(self):
+        a = np.array([0.0, 1e-3, 0.5, 3.0, 30.0])
+        assert np.abs(pr.error_from_exponent(a) - 1.0 / (1.0 + np.exp(a))).max() < 1e-16
+
     def test_degenerate_pole(self):
         with pytest.raises(DegenerateParams):
             pr.error_probability(SymmetricStateParams(1.0, 1.0, 0.0), 1.0)

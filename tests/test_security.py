@@ -74,6 +74,13 @@ def reference_rate(p, x0):
     return 1.0 - matkit.binary_entropy(eps) - matkit.entropy_bits(np.clip(w.real, 0.0, None))
 
 
+def eigh_rate(p, x0):
+    """One-way rate from the eigenvalues of the matrix ``effective_state``."""
+    eff = sec.effective_state(p, x0)
+    w, _ = matkit.eigh(eff.rho)
+    return 1.0 - matkit.binary_entropy(eff.eps_ab) - matkit.entropy_bits(np.clip(w, 0.0, None))
+
+
 class TestClosedFormReference:
     def test_matches_generic_pipeline(self):
         rng = np.random.default_rng(41)
@@ -84,6 +91,64 @@ class TestClosedFormReference:
                 gram = sec.eve_ensemble(p, x0).gram
                 assert np.abs(np.exp(-x0 * x0 * q) - gram).max() < 1e-12, (p, x0)
                 assert abs(sec.rate_lower_bound(p, x0) - reference_rate(p, x0)) < 1e-12, (p, x0)
+
+    def test_block_spectrum_matches_eigh(self):
+        rng = np.random.default_rng(43)
+        x0s = np.array([1e-3, 0.5, 1.0, 2.5, 5.0])
+        for _ in range(100):
+            p = random_symmetric_params(rng)
+            rates = sec.rate_lower_bound(p, x0s)
+            for x0, rate in zip(x0s, rates):
+                assert abs(rate - eigh_rate(p, x0)) < 1e-12, (p, x0)
+                assert abs(rate - reference_rate(p, x0)) < 1e-12, (p, x0)
+
+    def test_array_call_matches_scalar_calls(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            p = random_symmetric_params(rng)
+            x0s = rng.uniform(-5.0, 5.0, size=(3, 7))
+            rates = sec.rate_lower_bound(p, x0s)
+            assert rates.shape == x0s.shape
+            scalar = np.vectorize(lambda x: sec.rate_lower_bound(p, x))(x0s)
+            assert np.abs(rates - scalar).max() < 1e-15
+        assert isinstance(sec.rate_lower_bound(P111, 1.0), float)
+
+    def test_rejects_zero_threshold_in_batch(self):
+        with pytest.raises(InvalidInput):
+            sec.rate_lower_bound(P111, np.array([0.5, 0.0]))
+
+
+class TestHugeThresholds:
+    # cx = 0 gives r = 0 and the exact pure boundary gives q_same = q_diff = 0,
+    # so these hit 0 * inf at x0^2 = inf; the rounded boundary at lam = 2.6
+    # has q_same and q_diff of about -1e-15; any numpy warning fails the test
+    STATES = (
+        P111,
+        SymmetricStateParams(1.5, 0.0, 0.0),
+        SymmetricStateParams(1.25, 0.75, 0.75),
+        pure_boundary_params(2.6),
+    )
+
+    def test_finite_everywhere(self):
+        for p in self.STATES:
+            x0s = np.array([1e-200, 1e150, 1e200])
+            assert np.all(np.isfinite(sec.rate_lower_bound(p, x0s))), p
+            eff = sec.effective_state(p, 1e200)
+            assert np.all(np.isfinite(eff.rho)) and abs(np.trace(eff.rho) - 1.0) < 1e-15, p
+            assert 0.0 <= sec.eve_overlap(p, 1e200) <= 1.0
+            assert abs(sec.rate_lower_bound(p, 1e200) - eigh_rate(p, 1e200)) < 1e-12, p
+
+    def test_limits(self):
+        # no decay on the pure boundary, none of the error ratio at cx = 0
+        for pure in (SymmetricStateParams(1.25, 0.75, 0.75), pure_boundary_params(2.6)):
+            assert sec.eve_overlap(pure, 1e200) == 1.0
+            assert sec.rate_lower_bound(pure, 1e200) == 1.0
+        assert sec.effective_state(SymmetricStateParams(1.5, 0.0, 0.0), 1e200).eps_ab == 0.5
+
+    def test_optimize_rate_on_huge_range(self):
+        for p in self.STATES:
+            best_x0, rate = sec.optimize_rate(p, x0_max=1e200)
+            assert 1e194 <= best_x0 <= 1e200 and np.isfinite(rate), p
 
 
 class TestAttackConditions:
@@ -244,6 +309,14 @@ class TestOptimizeRate:
         grid = np.linspace(1e-3, 5.0, 1000)
         vals = [sec.rate_lower_bound(P111, x) for x in grid]
         assert best >= max(vals) - 1e-9
+
+    def test_beats_dense_grid_random_states(self):
+        rng = np.random.default_rng(53)
+        grid = np.linspace(5e-6, 5.0, 10_001)
+        for _ in range(50):
+            p = random_symmetric_params(rng)
+            _, best = sec.optimize_rate(p)
+            assert best >= sec.rate_lower_bound(p, grid).max() - 1e-12, p
 
 
 class TestFrontier:
