@@ -6,7 +6,7 @@ Monte-Carlo of the measurement + distillation protocol, JSON), and
 ``oracle-check`` (grid-oracle agreement suite).
 
 Values may come from flags, from a ``key=value`` config file (``--config``),
-or from defaults, in that precedence order.  Config entries are parsed as
+or from the defaults that ``--help`` shows, in that precedence order.  Config entries are parsed as
 ``--key=value`` flags placed ahead of the command line, so they get the same
 type and choice checks and the real flags win.  Exit codes: 0 success, 1 usage
 or parse error, 2 domain error (unphysical parameters), 3 internal numerical
@@ -26,7 +26,6 @@ from .gaussian import (
     GaussianState,
     SymmetricStateParams,
     condition_on_x,
-    physical_symmetric,
     pure_overlap,
     purify,
     symmetric_embed,
@@ -96,6 +95,9 @@ def _require(args, names):
 
 
 def _params(args):
+    """The state named by ``--lambda/--cx/--cp``.  Physicality is checked by
+    the library calls that use it, which raise ``InvalidInput`` (exit 2)."""
+    _require(args, ("lam", "cx", "cp"))
     return SymmetricStateParams(args.lam, args.cx, args.cp)
 
 
@@ -119,34 +121,39 @@ def build_parser():
 
     sp = sub.add_parser("analyze", help="security report for one parameter point")
     _add_param_flags(sp)
-    sp.add_argument("--x0-max", dest="x0_max", type=float, default=None,
-                    help="upper end of the threshold search range (default 5)")
+    sp.add_argument("--x0-max", dest="x0_max", type=float, default=5.0,
+                    help="upper end of the threshold search range (default %(default)s)")
     _add_common(sp)
 
     sp = sub.add_parser("frontier", help="security frontier over the cx=cp=c slice")
-    sp.add_argument("--c-min", dest="c_min", type=float, default=None)
-    sp.add_argument("--c-max", dest="c_max", type=float, default=None)
-    sp.add_argument("--steps", type=int, default=None, help="grid points (default 30)")
-    sp.add_argument("--attack", default=None, choices=security.ATTACK_KINDS)
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
+    sp.add_argument("--c-min", dest="c_min", type=float, default=0.1,
+                    help="smallest correlation c (default %(default)s)")
+    sp.add_argument("--c-max", dest="c_max", type=float, default=3.0,
+                    help="largest correlation c (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=30, help="grid points (default %(default)s)")
+    sp.add_argument("--attack", default=security.INDIVIDUAL, choices=security.ATTACK_KINDS,
+                    help="attack model (default %(default)s)")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv",
+                    help="output format (default %(default)s)")
     _add_common(sp)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo of sifting + advantage distillation")
     _add_param_flags(sp)
     sp.add_argument("--x0", type=float, default=None, help="postselection threshold")
-    sp.add_argument("--window", type=float, default=None,
-                    help="acceptance half-width around x0 (default 0.01)")
-    sp.add_argument("--pairs", type=int, default=None, help="measured pairs (default 10^6)")
-    sp.add_argument("--block-n", dest="block_n", type=int, default=None,
-                    help="advantage-distillation block size (default 2)")
-    sp.add_argument("--workers", type=int, default=None,
-                    help="worker threads; output does not depend on this")
-    sp.add_argument("--seed", type=int, default=None, help="RNG seed (default 12345)")
+    sp.add_argument("--window", type=float, default=0.01,
+                    help="acceptance half-width around x0 (default %(default)s)")
+    sp.add_argument("--pairs", type=int, default=1_000_000,
+                    help="measured pairs (default %(default)s)")
+    sp.add_argument("--block-n", dest="block_n", type=int, default=2,
+                    help="advantage-distillation block size (default %(default)s)")
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker threads; output does not depend on this (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=12345, help="RNG seed (default %(default)s)")
     _add_common(sp)
 
     sp = sub.add_parser("oracle-check", help="grid-oracle agreement suite")
-    sp.add_argument("--level", choices=("quick", "full"), default=None,
-                    help="quick skips the 4-mode grid (default quick)")
+    sp.add_argument("--level", choices=("quick", "full"), default="quick",
+                    help="quick skips the 4-mode grid (default %(default)s)")
     _add_common(sp)
     return parser
 
@@ -159,17 +166,8 @@ def _parser():
 
 
 def cmd_analyze(args):
-    _require(args, ("lam", "cx", "cp"))
-    x0_max = args.x0_max if args.x0_max is not None else 5.0
-    try:
-        params = _params(args)
-    except InvalidInput as exc:
-        print(f"unphysical parameters: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    if not physical_symmetric(params):
-        print("unphysical parameters", file=sys.stderr)
-        return _EXIT_DOMAIN
-    report = security.build_report(params, x0_max=x0_max)
+    params = _params(args)
+    report = security.build_report(params, x0_max=args.x0_max)
     _dump_json(
         {
             "lambda": _fmt(params.lam),
@@ -189,72 +187,47 @@ def cmd_analyze(args):
     return 0
 
 
+_FRONTIER_COLUMNS = ("c", "lambda_star", "lambda_solid", "lambda_dashed")
+
+
 def cmd_frontier(args):
-    c_min = args.c_min if args.c_min is not None else 0.1
-    c_max = args.c_max if args.c_max is not None else 3.0
-    steps = args.steps if args.steps is not None else 30
-    kind = args.attack if args.attack is not None else security.INDIVIDUAL
-    if steps < 2:
+    if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
-    if not c_min < c_max:
+    if not args.c_min < args.c_max:
         raise _UsageError("--c-min must be below --c-max")
-    if c_min <= 0:
-        print("correlations must be positive", file=sys.stderr)
-        return _EXIT_DOMAIN
-    grid = np.linspace(c_min, c_max, steps)
-    points = security.security_frontier(grid, kind)
-    if (args.format or "csv") == "json":
-        _dump_json(
-            [
-                {
-                    "c": _fmt(c),
-                    "lambda_star": _fmt(lam),
-                    "lambda_solid": _fmt(float(np.sqrt(1 + c * c))),
-                    "lambda_dashed": _fmt(c + 1.0),
-                }
-                for c, lam in points
-            ],
-            args.out,
-        )
-        return 0
-    lines = ["c,lambda_star,lambda_solid,lambda_dashed"]
-    for c, lam in points:
-        solid = float(np.sqrt(1.0 + c * c))
-        lines.append(f"{c:.12g},{lam:.12g},{solid:.12g},{c + 1.0:.12g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    if args.c_min <= 0:
+        raise InvalidInput("correlations must be positive")
+    grid = np.linspace(args.c_min, args.c_max, args.steps)
+    rows = [
+        (c, lam, float(np.sqrt(1.0 + c * c)), c + 1.0)
+        for c, lam in security.security_frontier(grid, args.attack)
+    ]
+    if args.format == "json":
+        _dump_json([dict(zip(_FRONTIER_COLUMNS, map(_fmt, row))) for row in rows], args.out)
+    else:
+        lines = [",".join(_FRONTIER_COLUMNS)] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_simulate(args):
     _require(args, ("lam", "cx", "cp", "x0"))
-    window = args.window if args.window is not None else 0.01
-    pairs = args.pairs if args.pairs is not None else 1_000_000
-    block_n = args.block_n if args.block_n is not None else 2
-    seed = args.seed if args.seed is not None else 12345
-    workers = args.workers if args.workers is not None else 1
-    if workers < 1:
+    if args.workers < 1:
         raise _UsageError("--workers must be at least 1")
-    try:
-        params = _params(args)
-    except InvalidInput as exc:
-        print(f"unphysical parameters: {exc}", file=sys.stderr)
-        return _EXIT_DOMAIN
-    if not physical_symmetric(params):
-        print("unphysical parameters", file=sys.stderr)
-        return _EXIT_DOMAIN
-    cfg = protocol.ProtocolConfig(x0=args.x0, window=window, n_pairs=pairs,
-                                  block_n=block_n, seed=seed)
-    base = matkit.Rng(seed)
-    bits = protocol.simulate_sifting(params, cfg, base.substream(0), workers=workers)
+    params = _params(args)
+    cfg = protocol.ProtocolConfig(x0=args.x0, window=args.window, n_pairs=args.pairs,
+                                  block_n=args.block_n, seed=args.seed)
+    base = matkit.Rng(cfg.seed)
+    bits = protocol.simulate_sifting(params, cfg, base.substream(0), workers=args.workers)
     accepted = len(bits.alice)
     eps_th = protocol.error_probability(params, cfg.x0)
     if accepted == 0:
         print("no pairs accepted; enlarge --pairs or --window", file=sys.stderr)
         return _EXIT_NUMERICAL
     eps_emp = float(np.mean(bits.alice != bits.bob))
-    outcome = protocol.simulate_advantage_distillation(bits, block_n, base.substream(1))
+    outcome = protocol.simulate_advantage_distillation(bits, cfg.block_n, base.substream(1))
     kept = len(outcome.kept_bits_alice)
-    eps_n_th = protocol.ad_error(eps_th, block_n)
+    eps_n_th = protocol.ad_error(eps_th, cfg.block_n)
     _dump_json(
         {
             "accepted": accepted,
@@ -340,10 +313,9 @@ def _oracle_checks(level):
 
 
 def cmd_oracle_check(args):
-    level = args.level if args.level is not None else "quick"
     failures = 0
     lines = []
-    for name, observed, expected, tol in _oracle_checks(level):
+    for name, observed, expected, tol in _oracle_checks(args.level):
         ok = abs(observed - expected) <= tol
         failures += 0 if ok else 1
         status = "ok" if ok else "FAIL"

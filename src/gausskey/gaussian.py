@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import matkit
 from .errors import IllConditioned, InvalidInput
 
 _PHYS_TOL = 1e-9
@@ -158,54 +157,27 @@ def williamson(cm):
 
     Returns ``SymplecticDiag`` with ``spectrum`` ascending.  The symplectic
     matrix is built from the antisymmetric normal form of
-    ``cm^{-1/2} J cm^{-1/2}``; its residual per-mode rotation freedom is
-    irrelevant to every consumer in this package.
+    ``cm^{-1/2} J cm^{-1/2}``.  Its per-mode rotation freedom is left unfixed:
+    ``s`` is any valid choice, which :func:`purify` does not depend on.
     """
     cm = _check_cm(cm)
     n = cm.shape[0] // 2
-    j = _j(n)
-
-    # already-diagonal thermal form: return the identity transform
-    scale = 1.0 + np.abs(cm).max()
-    if np.abs(cm - np.diag(np.diag(cm))).max() <= 1e-12 * scale:
-        diag = np.diag(cm)
-        if np.abs(diag[0::2] - diag[1::2]).max() <= 1e-12 * scale:
-            spectrum = diag[0::2].copy()
-            if spectrum.min() < 1e-10:
-                raise IllConditioned("CM is numerically singular")
-            return SymplecticDiag(spectrum, np.eye(2 * n), np.diag(diag.copy()))
-
     w, v = np.linalg.eigh(cm)
     if w.min() < 1e-10:
         raise IllConditioned("CM is numerically singular")
     inv_sqrt = (v / np.sqrt(w)) @ v.T
-    k = inv_sqrt @ j @ inv_sqrt
+    k = inv_sqrt @ _j(n) @ inv_sqrt
     k = 0.5 * (k - k.T)
     hb, hv = np.linalg.eigh(1j * k)
-    # positive half of the +/- paired spectrum; 1/b are the symplectic
-    # eigenvalues, so descending b gives ascending spectrum
-    pos = [i for i in np.argsort(hb)[::-1] if hb[i] > 0][:n]
+    # i k is Hermitian with a +/- paired spectrum; the symplectic eigenvalues
+    # are 1/b over its positive half, so descending b gives ascending spectrum
+    b, vecs = hb[n:][::-1], hv[:, n:][:, ::-1]
     o = np.empty((2 * n, 2 * n))
-    spectrum = np.empty(n)
-    for mode, i in enumerate(pos):
-        vec = hv[:, i]
-        u = math.sqrt(2.0) * vec.real
-        wv = math.sqrt(2.0) * vec.imag
-        o[:, 2 * mode] = wv
-        o[:, 2 * mode + 1] = u
-        spectrum[mode] = 1.0 / hb[i]
-    lam_half = np.repeat(np.sqrt(spectrum), 2)
-    s = (inv_sqrt @ o) * lam_half[None, :]
-    # fix the residual per-mode rotation freedom: rotate each column pair so
-    # the mode's own 2x2 block of S is symmetric positive when possible
-    for mode in range(n):
-        cols = slice(2 * mode, 2 * mode + 2)
-        block = s[cols, cols]
-        if np.linalg.det(block) > 1e-12:
-            bu, _, bvt = np.linalg.svd(block)
-            s[:, cols] = s[:, cols] @ (bu @ bvt).T
-    d = np.diag(np.repeat(spectrum, 2))
-    return SymplecticDiag(spectrum, s, d)
+    o[:, 0::2] = math.sqrt(2.0) * vecs.imag
+    o[:, 1::2] = math.sqrt(2.0) * vecs.real
+    spectrum = 1.0 / b
+    s = (inv_sqrt @ o) * np.repeat(np.sqrt(spectrum), 2)[None, :]
+    return SymplecticDiag(spectrum, s, np.diag(np.repeat(spectrum, 2)))
 
 
 def purify(state):
@@ -214,9 +186,10 @@ def purify(state):
 
     The added block carries the momentum-reflected copy of the input CM and
     the off-diagonal coupling ``J S E S^{-1} theta`` with
-    ``E = diag(sqrt(spectrum_k^2 - 1))`` repeated pairwise.  A pure input
-    (spectrum 1 within 1e-9) short-circuits to zero coupling so rounding
-    can never produce sqrt of a negative number.
+    ``E = diag(sqrt(spectrum_k^2 - 1))`` repeated pairwise.  ``E`` is constant
+    on each mode, so the coupling does not depend on the Williamson gauge.
+    Modes within 1e-9 of pure get ``E = 0`` exactly, so rounding can never
+    produce sqrt of a negative number and a pure input couples by exactly 0.
     """
     n = state.n_modes
     wd = williamson(state.cm)
@@ -225,10 +198,7 @@ def purify(state):
     theta = np.diag(_mode_signs(n, range(n)))
     e = np.sqrt(np.clip(np.repeat(wd.spectrum, 2) ** 2 - 1.0, 0.0, None))
     e[np.repeat(wd.spectrum, 2) <= 1.0 + _PHYS_TOL] = 0.0
-    if e.max(initial=0.0) == 0.0:
-        c = np.zeros((2 * n, 2 * n))
-    else:
-        c = _j(n) @ wd.s @ np.diag(e) @ np.linalg.inv(wd.s) @ theta
+    c = _j(n) @ wd.s @ np.diag(e) @ np.linalg.inv(wd.s) @ theta
     cm = np.block([[state.cm, c], [c.T, theta @ state.cm @ theta]])
     cm = 0.5 * (cm + cm.T)
     dv = np.concatenate([state.dv, theta @ state.dv])
@@ -252,12 +222,13 @@ def condition_on_x(state, measured_modes, outcomes):
     ``measured_modes`` is a proper, non-empty subset of modes; ``outcomes``
     holds one X value per measured mode.  The remaining state is
 
-        cm' = G_rr - G_rm (Pi G_mm Pi)^+ G_mr
-        dv' = dv_r + G_rm (Pi G_mm Pi)^+ (x - dv_m)
+        cm' = G_rr - G_rx G_xx^-1 G_xr
+        dv' = dv_r + G_rx G_xx^-1 (x - dv_x)
 
-    with ``Pi`` the projector onto the X rows of the measured block and
-    ``^+`` the pseudo-inverse (the projected block is rank-deficient by
-    construction).
+    with ``x`` the X quadratures of the measured modes and ``r`` every
+    quadrature of the others.  ``G_xx`` is a principal block of the CM, so
+    it is positive definite for a physical state; a singular one raises
+    :class:`IllConditioned`.
     """
     n = state.n_modes
     modes = sorted(set(int(m) for m in measured_modes))
@@ -271,21 +242,17 @@ def condition_on_x(state, measured_modes, outcomes):
     if not np.all(np.isfinite(outcomes)):
         raise InvalidInput("outcomes must be finite")
 
-    m_idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-    r_idx = np.array([i for i in range(2 * n) if i not in set(m_idx)])
-    g_mm = state.cm[np.ix_(m_idx, m_idx)]
-    g_rm = state.cm[np.ix_(r_idx, m_idx)]
+    x_idx = np.array([2 * m for m in modes])
+    r_idx = np.array([i for i in range(2 * n) if i // 2 not in modes])
+    g_rx = state.cm[np.ix_(r_idx, x_idx)]
+    try:
+        gain = np.linalg.solve(state.cm[np.ix_(x_idx, x_idx)], g_rx.T).T
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned("measured X block of the CM is singular") from exc
 
-    proj = np.zeros_like(g_mm)
-    xs = np.arange(0, len(m_idx), 2)
-    proj[np.ix_(xs, xs)] = g_mm[np.ix_(xs, xs)]
-    gain = g_rm @ matkit.pseudo_inverse(proj)
-
-    cm_c = state.cm[np.ix_(r_idx, r_idx)] - gain @ g_rm.T
+    cm_c = state.cm[np.ix_(r_idx, r_idx)] - gain @ g_rx.T
     cm_c = 0.5 * (cm_c + cm_c.T)
-    x_vec = np.zeros(len(m_idx))
-    x_vec[xs] = outcomes
-    dv_c = state.dv[r_idx] + gain @ (x_vec - state.dv[m_idx])
+    dv_c = state.dv[r_idx] + gain @ (outcomes - state.dv[x_idx])
     return ConditionalGaussian(GaussianState(cm_c, dv_c), outcomes.copy())
 
 

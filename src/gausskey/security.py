@@ -21,6 +21,7 @@ Frontier scans locate, per correlation strength, the largest local variance
 that still admits a secure threshold choice.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ _DEFAULT_X0_GRID = np.linspace(0.25, 5.0, 20)
 # true optimum approaches zero from below and double-precision noise (~1e-16)
 # must not read as a positive rate
 _RATE_FLOOR = 1e-12
+
+# exp(-a) is exactly 0 in double precision once a >= 746
+_UNDERFLOW_EXPONENT = 746.0
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,13 @@ def effective_state(p, x0):
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
+def _rate_exponents(p):
+    """The exponents ``[r, q_same, q_diff, 2 q_mix]`` of the decaying terms
+    of :func:`rate_lower_bound`."""
+    r, q = _exponents(p)
+    return np.array([r, q[0, 1], q[2, 3], 2.0 * q[0, 2]])
+
+
 def rate_lower_bound(p, x0):
     """One-way key-rate lower bound ``(1 - h(eps)) - S(rho)`` in bits per
     accepted symbol, elementwise over an array of thresholds (a float for a
@@ -241,11 +252,12 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     _check_x0(x0)
-    r, q = _exponents(p)
-    eps = error_from_exponent(_exponent(r, x0))
+    # k x0^2 for k = r, q_same, q_diff, 2 q_mix in one call, one row per k;
+    # g_mix^2 = exp(-k_pair)
+    k = _rate_exponents(p)
+    k_r, k_same, k_diff, k_pair = _exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
+    eps = error_from_exponent(k_r)
     a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
-    k_same, k_diff = _exponent(q[0, 1], x0), _exponent(q[2, 3], x0)
-    k_pair = _exponent(2.0 * q[0, 2], x0)  # g_mix^2 = exp(-k_pair)
     big = a2 * (1.0 + np.exp(-k_same))
     small = b2 * (1.0 + np.exp(-k_diff))
     top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * np.exp(-k_pair))
@@ -260,13 +272,22 @@ def optimize_rate(p, x0_max=5.0):
 
     Repeated 64-point scans of the vectorized rate, each over the best bracket
     of the last; the rate is smooth in the threshold but not proven unimodal,
-    hence the scans.  Returns ``(best_x0, best_rate)``.
+    hence the scans.  The search covers ``[1e-6 hi, hi]``, where ``hi`` is
+    ``x0_max`` capped at ``sqrt(746 / k_min)``, ``k_min`` the smallest positive
+    coefficient of an ``exp(-k x0^2)`` in the rate (``r``, ``q_same/2``,
+    ``q_diff/2`` and ``2 q_mix``).  Past the cap every such term underflows to
+    0, so the rate is exactly constant there and a huge ``x0_max`` cannot push
+    the search past the optimum.  Returns ``(best_x0, best_rate)``.
     """
     if not (np.isfinite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be positive")
-    x, neg = matkit.minimize_scalar(
-        lambda xs: -rate_lower_bound(p, xs), 1e-6 * x0_max, x0_max, tol=1e-6
-    )
+    # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
+    # a term with k = inf is 0 at every threshold; two roots, because 746 / k
+    # overflows for k below 4e-306
+    r, q_same, q_diff, k_pair = _rate_exponents(p)
+    k = [float(v) for v in (r, 0.5 * q_same, 0.5 * q_diff, k_pair) if 0.0 < v < np.inf]
+    hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
+    x, neg = matkit.minimize_scalar(lambda xs: -rate_lower_bound(p, xs), 1e-6 * hi, hi, tol=1e-6)
     return float(x), float(-neg)
 
 

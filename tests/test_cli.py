@@ -154,6 +154,36 @@ class TestSimulate:
         assert code == 2
 
 
+class TestDomainErrors:
+    def test_exit_2_one_line(self, capsys):
+        # (says "unphysical", argv)
+        cases = [
+            (True, ("analyze", "--lambda", "1.5", "--cx", "1.3", "--cp", "1")),
+            (True, ("analyze", "--lambda", "1.0", "--cx", "1", "--cp", "1")),
+            (False, ("analyze", "--lambda", "1.5", "--cx", "0.5", "--cp", "1")),
+            (True, ("simulate", "--lambda", "1.0", "--cx", "1", "--cp", "1", "--x0", "1")),
+            (False, ("simulate", "--lambda", "1.5", "--cx", "0.5", "--cp", "1", "--x0", "1")),
+            (False, ("frontier", "--c-min", "0", "--c-max", "1")),
+            (False, ("frontier", "--c-min", "-1", "--c-max", "1", "--format", "json")),
+        ]
+        for unphysical, argv in cases:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
+            assert not unphysical or "unphysical" in err, (argv, err)
+
+    def test_usage_errors_come_first(self, capsys):
+        # a missing value or a bad worker count is exit 1 even on a bad state
+        for argv in (
+            ("simulate", "--lambda", "1.5", "--cx", "0.5", "--cp", "1"),
+            ("simulate", "--lambda", "1.5", "--cx", "1.3", "--cp", "1", "--x0", "1",
+             "--workers", "0"),
+            ("analyze", "--cx", "1.3", "--cp", "1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, (argv, err)
+
+
 class TestHugeThresholds:
     def test_exit_0_without_warnings(self, capsys):
         # cx = 0 (r = 0) and the exact pure boundary (q_same = 0) meet 0 * inf
@@ -257,6 +287,21 @@ class TestOutputConventions:
         _, out, _ = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1")
         val = json.loads(out)["eve_overlap"]
         assert val == float(f"{val:.12g}")
+
+    def test_help_shows_defaults(self, capsys):
+        defaults = {
+            "analyze": ("5.0",),
+            "frontier": ("0.1", "3.0", "30", "individual", "csv"),
+            "simulate": ("0.01", "1000000", "2", "1", "12345"),
+            "oracle-check": ("quick",),
+        }
+        for command, values in defaults.items():
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            for value in values:
+                assert f"(default {value})" in text, (command, value)
 
     def test_unknown_flag_exits_1(self, tmp_path, capsys):
         point = ("--lambda", "1.5", "--cx", "1", "--cp", "1")

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_physical_cm, random_symmetric_params
 from gausskey import gaussian as g
+from gausskey import matkit
 from gausskey.errors import IllConditioned, InvalidInput
 
 
@@ -114,30 +115,39 @@ class TestSymplecticSpectrum:
         assert np.allclose(g.symplectic_spectrum(s.T @ cm @ s), g.symplectic_spectrum(cm))
 
 
+def assert_williamson(cm, tol=1e-12):
+    """The gauge-free Williamson postconditions: ``s`` symplectic,
+    ``s.T cm s = d`` diagonal with the ascending spectrum repeated pairwise."""
+    wd = g.williamson(cm)
+    j = g.symplectic_form(cm.shape[0] // 2)
+    assert np.abs(wd.s.T @ j @ wd.s - j).max() < tol
+    assert np.abs(wd.s.T @ cm @ wd.s - wd.d).max() < tol
+    assert np.abs(wd.d - np.diag(np.repeat(wd.spectrum, 2))).max() == 0.0
+    assert np.all(np.diff(wd.spectrum) >= -1e-12)
+    return wd
+
+
 class TestWilliamson:
     def test_identity(self):
-        wd = g.williamson(np.eye(4))
-        assert np.array_equal(wd.s, np.eye(4))
-        assert np.allclose(wd.spectrum, 1.0)
+        for n in (1, 2, 3):
+            wd = assert_williamson(np.eye(2 * n))
+            assert np.abs(wd.spectrum - 1.0).max() < 1e-12
 
     def test_squeezed_single_mode(self):
-        wd = g.williamson(np.diag([2.0, 0.5]))
-        assert np.allclose(wd.spectrum, [1.0])
-        assert np.allclose(np.abs(np.diag(wd.s)), [2**-0.5, 2**0.5])
-        assert np.abs(wd.s.T @ np.diag([2.0, 0.5]) @ wd.s - np.eye(2)).max() < 1e-9
+        wd = assert_williamson(np.diag([2.0, 0.5]))
+        assert abs(wd.spectrum[0] - 1.0) < 1e-12
+
+    def test_equal_multi_mode_spectra(self):
+        wd = assert_williamson(np.diag([2.0, 2.0, 2.0, 2.0]))
+        assert np.abs(wd.spectrum - 2.0).max() < 1e-12
+        wd = assert_williamson(np.diag([3.0, 3.0, 1.0, 1.0, 3.0, 3.0]))
+        assert np.abs(wd.spectrum - [1.0, 3.0, 3.0]).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
     def test_postconditions_random(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
-        cm = random_physical_cm(rng, n)
-        wd = g.williamson(cm)
-        j = g.symplectic_form(n)
-        assert np.abs(wd.s.T @ j @ wd.s - j).max() < 1e-9
-        d = wd.s.T @ cm @ wd.s
-        assert np.abs(d - wd.d).max() < 1e-9
-        assert np.abs(np.diag(wd.d) - np.repeat(wd.spectrum, 2)).max() < 1e-9
-        assert np.all(np.diff(wd.spectrum) >= -1e-12)
+        assert_williamson(random_physical_cm(rng, n), tol=1e-9)
 
     def test_near_singular_rejected(self):
         with pytest.raises(IllConditioned):
@@ -226,6 +236,35 @@ class TestConditionOnX:
         d2 = g.condition_on_x(pur, (0, 1), np.array([0.0, 1.0])).state.dv
         mix = g.condition_on_x(pur, (0, 1), np.array([0.3, -1.2])).state.dv
         assert np.abs(mix - (0.3 * d1 - 1.2 * d2)).max() < 1e-12
+
+    def test_matches_pseudo_inverse_route(self):
+        # the projected-block formula G_rm (Pi G_mm Pi)^+ with Pi onto the X
+        # rows of the measured modes, against the X-X solve
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n = int(rng.integers(1, 3))
+            pur = g.purify(g.GaussianState(random_physical_cm(rng, n), rng.standard_normal(2 * n)))
+            modes = sorted(rng.choice(2 * n, size=int(rng.integers(1, 2 * n)), replace=False))
+            outcomes = rng.standard_normal(len(modes)) * 2.0
+            m_idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
+            r_idx = np.setdiff1d(np.arange(4 * n), m_idx)
+            g_rm = pur.cm[np.ix_(r_idx, m_idx)]
+            proj = np.zeros((len(m_idx), len(m_idx)))
+            xs = np.arange(0, len(m_idx), 2)
+            proj[np.ix_(xs, xs)] = pur.cm[np.ix_(m_idx[xs], m_idx[xs])]
+            gain = g_rm @ matkit.pseudo_inverse(proj)
+            x_vec = np.zeros(len(m_idx))
+            x_vec[xs] = outcomes
+            want_cm = pur.cm[np.ix_(r_idx, r_idx)] - gain @ g_rm.T
+            want_dv = pur.dv[r_idx] + gain @ (x_vec - pur.dv[m_idx])
+            cond = g.condition_on_x(pur, modes, outcomes).state
+            assert np.abs(cond.cm - want_cm).max() < 1e-12
+            assert np.abs(cond.dv - want_dv).max() < 1e-12
+
+    def test_singular_x_block_rejected(self):
+        st = g.GaussianState(np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros(4))
+        with pytest.raises(IllConditioned):
+            g.condition_on_x(st, (0,), np.array([0.5]))
 
     def test_rejects_bad_measured_sets(self):
         st = g.vacuum(2)

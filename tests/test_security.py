@@ -146,9 +146,27 @@ class TestHugeThresholds:
         assert sec.effective_state(SymmetricStateParams(1.5, 0.0, 0.0), 1e200).eps_ab == 0.5
 
     def test_optimize_rate_on_huge_range(self):
-        for p in self.STATES:
+        # the search stops where every decaying term has underflowed, so a
+        # huge range finds the default optimum; at lam = 1.7e308 the overlap
+        # exponents are infinite and r is 0
+        best_x0, rate = sec.optimize_rate(P111)
+        huge_x0, huge_rate = sec.optimize_rate(P111, x0_max=1e200)
+        assert abs(huge_rate - rate) < 1e-12 and abs(huge_x0 - best_x0) < 1e-5
+        for p in self.STATES + (SymmetricStateParams(1e300, 1.0, 1.0), SymmetricStateParams(1.7e308, 1.0, 1.0)):
             best_x0, rate = sec.optimize_rate(p, x0_max=1e200)
-            assert 1e194 <= best_x0 <= 1e200 and np.isfinite(rate), p
+            assert 0 < best_x0 <= 1e200 and np.isfinite(rate), p
+
+    def test_huge_range_never_worse(self):
+        # past sqrt(746 / k) every exp(-k x0^2) is exactly 0, so the rate is
+        # constant there and searching up to 1e200 loses nothing
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            p = random_symmetric_params(rng, lam_range=(1.0, 40.0))
+            k = sec._rate_exponents(p) * np.array([1.0, 0.5, 0.5, 1.0])
+            cap = np.sqrt(746.0 / k[k > 0].min())
+            rates = sec.rate_lower_bound(p, cap * np.array([1.0, 1.5, 1e10]))
+            assert rates[0] == rates[1] == rates[2], p
+            assert sec.optimize_rate(p, x0_max=1e200)[1] >= sec.optimize_rate(p)[1] - 1e-12, p
 
 
 class TestAttackConditions:
