@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -215,8 +216,11 @@ def cmd_simulate(args):
     if args.workers < 1:
         raise _UsageError("--workers must be at least 1")
     params = _params(args)
-    cfg = protocol.ProtocolConfig(x0=args.x0, window=args.window, n_pairs=args.pairs,
-                                  block_n=args.block_n, seed=args.seed)
+    # held back until the run has succeeded, so an error stays one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cfg = protocol.ProtocolConfig(x0=args.x0, window=args.window, n_pairs=args.pairs,
+                                      block_n=args.block_n, seed=args.seed)
     base = matkit.Rng(cfg.seed)
     bits = protocol.simulate_sifting(params, cfg, base.substream(0), workers=args.workers)
     accepted = len(bits.alice)
@@ -228,6 +232,8 @@ def cmd_simulate(args):
     outcome = protocol.simulate_advantage_distillation(bits, cfg.block_n, base.substream(1))
     kept = len(outcome.kept_bits_alice)
     eps_n_th = protocol.ad_error(eps_th, cfg.block_n)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     _dump_json(
         {
             "accepted": accepted,

@@ -35,7 +35,7 @@ class Rng:
     results no matter how many workers process them or in which order.
     """
 
-    _CHILD_BITS = 20  # up to 2**20 children per node, three levels deep
+    CHILD_BITS = 20  # up to 2**20 children per node, three levels deep
 
     def __init__(self, seed, stream=0):
         if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
@@ -49,9 +49,9 @@ class Rng:
 
     def substream(self, index):
         """Return the ``index``-th child stream of this stream."""
-        if not 0 <= int(index) < 2**self._CHILD_BITS:
-            raise InvalidInput(f"substream index must be in [0, 2**{self._CHILD_BITS})")
-        return Rng(self.seed, (self.stream << self._CHILD_BITS) + int(index) + 1)
+        if not 0 <= int(index) < 2**self.CHILD_BITS:
+            raise InvalidInput(f"substream index must be in [0, 2**{self.CHILD_BITS})")
+        return Rng(self.seed, (self.stream << self.CHILD_BITS) + int(index) + 1)
 
     def standard_normal(self, shape):
         return self.generator.standard_normal(shape)

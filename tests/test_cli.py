@@ -153,6 +153,30 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_wide_window_warns_in_one_line(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1",
+            "--window", "0.5", "--pairs", "100000",
+        )
+        assert code == 0 and json.loads(out)["accepted"] > 0
+        assert err == "warning: window larger than x0/5; closed-form comparisons degrade\n"
+
+    def test_unphysical_wide_window_gives_only_the_domain_error(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1.5", "--cx", "1.3", "--cp", "1", "--x0", "1",
+            "--window", "0.5",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("domain error: unphysical")
+
+    def test_too_many_pairs_exits_2_before_sampling(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1",
+            "--pairs", str(10**13),
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "pairs per run" in err
+
 
 class TestDomainErrors:
     def test_exit_2_one_line(self, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,27 @@ from gausskey.gaussian import SymmetricStateParams
 
 P111 = SymmetricStateParams(1.5, 1.0, 1.0)
 EPS111 = 1.0 / (1.0 + np.exp(3.2))
+
+
+def brute_force_sift(p, cfg, rng):
+    """Reference sifting: draw every pair from the joint law and window both
+    outcomes, one substream of ``rng`` per chunk of pairs."""
+    chunk = 1 << 18
+    alice, bob = [], []
+    for i, start in enumerate(range(0, cfg.n_pairs, chunk)):
+        xs = matkit.sample_mvn(pr.pair_covariance(p), min(chunk, cfg.n_pairs - start), rng.substream(i))
+        kept = xs[(np.abs(np.abs(xs) - cfg.x0) <= cfg.window).all(axis=1)]
+        alice.append((kept[:, 0] < 0).astype(np.uint8))
+        bob.append((kept[:, 1] < 0).astype(np.uint8))
+    alice, bob = np.concatenate(alice), np.concatenate(bob)
+    return pr.SiftedBits(alice, bob, len(alice) / cfg.n_pairs)
+
+
+def assert_same_rate(k1, n1, k2, n2, what):
+    """Two binomial counts ``k/n`` agree within 4 sigma of their pooled rate."""
+    q = (k1 + k2) / (n1 + n2)
+    sigma = math.sqrt(q * (1.0 - q) * (1.0 / n1 + 1.0 / n2))
+    assert abs(k1 / n1 - k2 / n2) <= 4.0 * sigma, (what, k1 / n1, k2 / n2, sigma)
 
 
 class TestJointSignDistribution:
@@ -142,6 +165,58 @@ class TestSimulateSifting:
         a = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=1)
         b = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=4)
         assert np.array_equal(a.alice, b.alice) and np.array_equal(a.bob, b.bob)
+
+
+class TestSiftingSampler:
+    """The in-window sampler against brute-force sifting, at windows wide
+    enough that the zero-width closed forms no longer describe them."""
+
+    @pytest.mark.parametrize(
+        "state, x0, window",
+        [
+            ((1.5, 1.0, 1.0), 1.0, 0.5),
+            ((1.5, 1.0, 1.0), 0.3, 0.5),  # Alice's window starts at 0
+            ((400.0, 399.9, 0.0), 30.0, 0.5),
+            ((1.5, 0.0, 0.0), 1.0, 0.5),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:window larger than x0/5")
+    def test_agrees_with_brute_force(self, state, x0, window):
+        p = SymmetricStateParams(*state)
+        cfg = pr.ProtocolConfig(x0=x0, window=window, n_pairs=2_000_000, block_n=2, seed=0)
+        ref = brute_force_sift(p, cfg, matkit.Rng(41))
+        new = pr.simulate_sifting(p, cfg, matkit.Rng(42))
+        n_ref, n_new = len(ref.alice), len(new.alice)
+        assert n_ref > 1000
+        assert_same_rate(n_new, cfg.n_pairs, n_ref, cfg.n_pairs, "acceptance")
+        assert_same_rate(int((new.alice != new.bob).sum()), n_new,
+                         int((ref.alice != ref.bob).sum()), n_ref, "eps")
+        assert_same_rate(int(new.alice.sum()), n_new, int(ref.alice.sum()), n_ref, "sign")
+
+    @pytest.mark.parametrize(
+        "lo, hi, lam",
+        [(0.99, 1.01, 1.5), (0.5, 1.5, 1.5), (0.0, 0.8, 1.5), (0.0, 6.0, 1.5), (29.5, 30.5, 400.0)],
+    )
+    def test_window_draws_follow_erf_cdf(self, lo, hi, lam):
+        n = 200_000
+        xs = pr._window_abs(matkit.Rng(8).generator, n, lo, hi, lam)
+        assert len(xs) == n and xs.min() >= lo and xs.max() <= hi
+        edges = np.linspace(lo, hi, 21)
+        cdf = np.array([math.erf(e / math.sqrt(lam)) for e in edges])
+        expect = np.diff(cdf) / (cdf[-1] - cdf[0])
+        counts = np.histogram(xs, edges)[0]
+        assert np.all(np.abs(counts - n * expect) <= 4.0 * np.sqrt(n * expect * (1 - expect)) + 1.0)
+
+    def test_window_beyond_reach_accepts_nothing(self):
+        cfg = pr.ProtocolConfig(x0=60.0, window=0.01, n_pairs=1_000_000, block_n=2, seed=0)
+        bits = pr.simulate_sifting(P111, cfg, matkit.Rng(0))
+        assert len(bits.alice) == 0 and bits.acceptance_rate == 0.0
+
+    def test_rejects_more_pairs_than_substreams(self):
+        cfg = pr.ProtocolConfig(x0=1.0, window=0.01, n_pairs=pr._MAX_CHUNKS * pr._SIFT_CHUNK + 1,
+                                block_n=2, seed=0)
+        with pytest.raises(InvalidInput, match="pairs per run"):
+            pr.simulate_sifting(P111, cfg, matkit.Rng(0))
 
 
 class TestAdvantageDistillation:
