@@ -32,6 +32,7 @@ from .gaussian import (
     pure_overlap,
     purify,
     symmetric_embed,
+    symmetric_exponents,
     symplectic_form,
     symplectic_spectrum,
     vacuum,
@@ -46,7 +47,6 @@ from .protocol import (
     ad_error,
     ad_error_bound,
     error_probability,
-    joint_sign_distribution,
     simulate_advantage_distillation,
     simulate_sifting,
 )

@@ -198,9 +198,11 @@ def cmd_frontier(args):
         raise _UsageError("--c-min must be below --c-max")
     if args.c_min <= 0:
         raise InvalidInput("correlations must be positive")
+    if not np.isfinite(args.c_max):
+        raise InvalidInput("correlations must be finite")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
     rows = [
-        (c, lam, float(np.sqrt(1.0 + c * c)), c + 1.0)
+        (c, lam, *security.frontier_rails(c))
         for c, lam in security.security_frontier(grid, args.attack)
     ]
     if args.format == "json":

@@ -14,7 +14,7 @@ All operations are pure functions.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -213,7 +213,6 @@ class ConditionalGaussian:
     """
 
     state: GaussianState
-    outcome: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def condition_on_x(state, measured_modes, outcomes):
@@ -253,7 +252,7 @@ def condition_on_x(state, measured_modes, outcomes):
     cm_c = state.cm[np.ix_(r_idx, r_idx)] - gain @ g_rx.T
     cm_c = 0.5 * (cm_c + cm_c.T)
     dv_c = state.dv[r_idx] + gain @ (outcomes - state.dv[x_idx])
-    return ConditionalGaussian(GaussianState(cm_c, dv_c), outcomes.copy())
+    return ConditionalGaussian(GaussianState(cm_c, dv_c))
 
 
 def pure_overlap(cm, d1, d2):
@@ -310,6 +309,41 @@ def npt_symmetric(p):
     """Closed-form entanglement (NPPT) test: lam^2 + cx*cp - 1 < lam*(cx + cp),
     strictly; evaluated as (lam - cx)(lam - cp) < 1."""
     return bool((p.lam - p.cx) * (p.lam - p.cp) < 1.0)
+
+
+def symmetric_exponents(p):
+    """Per-state exponents ``(r, q_same, q_diff)`` of the family's closed
+    forms: ``eps/(1-eps) = exp(-r x0^2)`` for the postselection error at
+    threshold ``x0``, and ``|<e_++|e_-->| = exp(-q_same x0^2)``,
+    ``|<e_+-|e_-+>| = exp(-q_diff x0^2)`` for the adversary's conditional
+    states; a mixed pair (one concordant, one discordant sign pair) overlaps
+    as ``exp(-q_mix x0^2)`` with ``q_mix = (q_same + q_diff)/4``.  Raises
+    :class:`InvalidInput` for an unphysical state.
+
+    In the modes ``(A +- B)/sqrt(2)``, read at ``x_+- = (x_A +- x_B)/sqrt(2)``,
+    the state is a product of single-mode states with CM ``diag(Vx, Vp)`` =
+    ``(lam + cx, lam - cp)`` and ``(lam - cx, lam + cp)``.  The pair
+    ``(x_A, x_B)`` has covariance ``gx/2``, ``gx = [[lam, cx], [cx, lam]]``, so
+    discordant over concordant density is ``exp(-2x0^2/(lam-cx) + 2x0^2/(lam+cx))``
+    and ``r = 4 cx / ((lam - cx)(lam + cx))``.  Per mode, the adversary's states
+    conditioned on outcomes ``x, x'`` overlap like the position-space density
+    matrix ``rho(x, x') ~ exp(-(x + x')^2/(4 Vx) - Vp (x - x')^2/4)``, i.e.
+    ``exp(-(x - x')^2 (Vp - 1/Vx)/4)`` once normalized, for any purification.
+    ``++`` against ``--`` moves ``x_+`` by ``2 sqrt(2) x0``, giving
+    ``q_same = 2(lam - cp) - 2/(lam + cx)``; ``+-`` against ``-+`` moves ``x_-``
+    alike, ``q_diff = 2(lam + cp) - 2/(lam - cx)``; a mixed pair moves both by
+    ``sqrt(2) x0``, hence ``q_mix``.
+
+    The generic route (purify, condition on the four outcomes, overlap) agrees:
+    its conditional CM is ``blockdiag(gx, gx^-1)`` at every outcome and its
+    displacements are momentum-only and linear in ``(x_A, x_B)``, so the Gram
+    matrix is real and Gaussian in ``x0``.  Tests pin the two routes together.
+    """
+    if not physical_symmetric(p):
+        raise InvalidInput(f"unphysical parameters {p}")
+    minus, plus = p.lam - p.cx, p.lam + p.cx
+    r = 4.0 * p.cx / (minus * plus)
+    return r, 2.0 * (p.lam - p.cp) - 2.0 / plus, 2.0 * (p.lam + p.cp) - 2.0 / minus
 
 
 def symmetric_embed(p):

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import EvaluationError, InvalidInput, NotPSD
 
+_SCAN_POINTS = 64  # points per scan of minimize_scalar
+
 
 def _require_finite(a, name):
     if not np.all(np.isfinite(a)):
@@ -94,28 +96,28 @@ def pseudo_inverse(m, tol=1e-10):
     return np.linalg.pinv(m, rcond=tol)
 
 
-def minimize_scalar(f, lo, hi, tol=1e-8, scan_points=64):
+def minimize_scalar(f, lo, hi, tol=1e-8):
     """Minimize a scalar function on ``[lo, hi]``.
 
     ``f`` is vectorized: it takes an array of points and returns one value per
-    point.  A ``scan_points``-point scan of ``[lo, hi]`` locates the best
-    basin; each further scan covers the bracket around the best point of the
-    last, until that bracket is at most ``tol`` wide (or stops shrinking at
-    the floating-point resolution of huge brackets).  For a unimodal basin
-    the returned ``x`` is within ``tol`` of its argmin.  Returns the best
-    scanned point and its value ``(x, f(x))``.
+    point.  A 64-point scan of ``[lo, hi]`` locates the best basin; each
+    further scan covers the bracket around the best point of the last, until
+    that bracket is at most ``tol`` wide (or stops shrinking at the
+    floating-point resolution of huge brackets).  For a unimodal basin the
+    returned ``x`` is within ``tol`` of its argmin.  Returns the best scanned
+    point and its value ``(x, f(x))``.
     """
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InvalidInput("need finite lo < hi")
 
     while True:
-        xs = np.linspace(lo, hi, scan_points)
+        xs = np.linspace(lo, hi, _SCAN_POINTS)
         ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
         bad = ~np.isfinite(ys)
         if bad.any():
             raise EvaluationError(xs[np.argmax(bad)])
         k = int(np.argmin(ys))
-        a, b = xs[max(k - 1, 0)], xs[min(k + 1, scan_points - 1)]
+        a, b = xs[max(k - 1, 0)], xs[min(k + 1, _SCAN_POINTS - 1)]
         if b - a <= tol or b - a >= hi - lo:
             return xs[k], ys[k]
         lo, hi = a, b

@@ -24,9 +24,6 @@ import numpy as np
 from . import matkit
 from .errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 
-_DEFAULT_AXIS_SMALL = (-8.0, 8.0, 201)  # 1-2 modes
-_DEFAULT_AXIS_BIG = (-6.0, 6.0, 41)  # 4 modes
-
 
 @dataclass(frozen=True)
 class GridAxis:

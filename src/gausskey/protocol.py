@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matkit
 from .errors import DegenerateParams, InvalidInput
-from .gaussian import physical_symmetric
+from .gaussian import physical_symmetric, symmetric_exponents
 
 _SIFT_CHUNK = 1 << 18
 _MAX_CHUNKS = 1 << matkit.Rng.CHILD_BITS  # one substream per chunk
@@ -83,27 +83,6 @@ def pair_covariance(p):
     return 0.5 * np.array([[p.lam, p.cx], [p.cx, p.lam]])
 
 
-def joint_sign_distribution(p, x0):
-    """Probability table ``p(i, j)`` of the sign bits at threshold ``x0``.
-
-    Rows index Alice's bit, columns Bob's.  Entries are the joint Gaussian
-    density at the four points ``(+-x0, +-x0)`` normalized over those points,
-    which is the zero-width postselection limit.
-    """
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
-    if not (np.isfinite(x0) and x0 >= 0):
-        raise InvalidInput("x0 must be nonnegative")
-    # density exponents at equal / opposite signs
-    same = -2.0 * x0**2 / (p.lam + p.cx)
-    diff = -2.0 * x0**2 / (p.lam - p.cx)
-    m = max(same, diff)
-    a = np.exp(same - m)
-    b = np.exp(diff - m)
-    table = np.array([[a, b], [b, a]])
-    return table / table.sum()
-
-
 def error_from_exponent(a):
     """``1 / (1 + exp(a))`` for an exponent ``a >= 0``, evaluated as
     ``exp(-a) / (1 + exp(-a))`` so that no ``a`` up to ``inf`` overflows;
@@ -114,13 +93,11 @@ def error_from_exponent(a):
 
 def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
-    with ``r = 4 cx / ((lam - cx)(lam + cx))``; ``cx = 0`` gives 1/2 at every
-    threshold, ``x0 = inf`` included."""
+    with ``r`` from :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0``
+    gives 1/2 at every threshold, ``x0 = inf`` included."""
     if p.lam == p.cx:
         raise DegenerateParams("lam == cx puts the error formula on a pole")
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
-    r = 4.0 * p.cx / ((p.lam - p.cx) * (p.lam + p.cx))
+    r = symmetric_exponents(p)[0]
     x2 = float(x0) * float(x0)
     return float(error_from_exponent(r * x2 if r else 0.0))
 
@@ -183,7 +160,8 @@ def _sift_chunk(p, cfg, rng, count):
     pairs have exactly the law of brute-force sampling and windowing both
     outcomes, at a cost that scales with the pairs in Alice's window.
     """
-    (var, c), _ = pair_covariance(p)
+    # plain floats: numpy scalars would warn where a huge window overflows
+    (var, c), _ = pair_covariance(p).tolist()
     lam = 2.0 * var
     lo, hi = max(cfg.x0 - cfg.window, 0.0), cfg.x0 + cfg.window
     scale = math.sqrt(lam)

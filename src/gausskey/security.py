@@ -13,8 +13,9 @@ Their pairwise overlaps drive every security statement here:
   effective two-qubit state traced over the adversary.
 
 On this family the error ratio and every overlap are Gaussian in the
-threshold, so per-state exponents (:func:`_exponents`) give all of the above
-in closed form, and the overlap conditions do not depend on the threshold.
+threshold, so the three per-state exponents of
+:func:`~gausskey.gaussian.symmetric_exponents` give all of the above in closed
+form, and the overlap conditions do not depend on the threshold.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -32,12 +33,12 @@ from .gaussian import (
     SymmetricStateParams,
     condition_on_x,
     npt_symmetric,
-    physical_symmetric,
     pure_overlap,
     purify,
     symmetric_embed,
+    symmetric_exponents,
 )
-from .protocol import error_from_exponent
+from .protocol import error_from_exponent, error_probability
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -50,11 +51,9 @@ ATTACK_KINDS = (INDIVIDUAL, FINITE_COHERENT, COHERENT_AD, GENERAL)
 # power of |<e_++|e_-->| in each overlap-based key condition
 _OVERLAP_POWER = {INDIVIDUAL: 1, FINITE_COHERENT: 1, COHERENT_AD: 2}
 
-_DEFAULT_X0_GRID = np.linspace(0.25, 5.0, 20)
-
-# positivity floor for the one-way rate: near the entanglement boundary the
-# true optimum approaches zero from below and double-precision noise (~1e-16)
-# must not read as a positive rate
+# the general attack's key condition is a one-way rate above this many bits
+# per accepted symbol at some threshold; rates within rounding noise
+# (~1e-16) of zero must not read as key
 _RATE_FLOOR = 1e-12
 
 # exp(-a) is exactly 0 in double precision once a >= 746
@@ -81,7 +80,6 @@ class Effective2x2:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    params: SymmetricStateParams
     physical: bool
     nppt: bool
     individual_secure: bool
@@ -104,8 +102,9 @@ def _check_x0(x0):
 
 
 def _exponent(k, x0):
-    """``k * x0^2`` for an exponent ``k`` of :func:`_exponents`: overflow to
-    ``inf`` is meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
+    """``k * x0^2`` for an exponent ``k`` of
+    :func:`~gausskey.gaussian.symmetric_exponents`: overflow to ``inf`` is
+    meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
     included.  Overlaps of normalized states never exceed 1, so a negative
     ``k`` is rounding at the pure boundary or the ``-1e-9`` physicality band;
     taken as is it would blow up at huge thresholds."""
@@ -115,39 +114,12 @@ def _exponent(k, x0):
         return np.multiply(k, x2, out=np.zeros(np.broadcast(k, x2).shape), where=k > 0)
 
 
-def _exponents(p):
-    """Per-state exponents ``(r, Q)``: ``eps/(1-eps) = exp(-r x0^2)`` and
-    ``<e_s|e_t> = exp(-Q[s, t] x0^2)``, signs ordered like :data:`SIGN_ORDER`.
-
-    In the modes ``(A +- B)/sqrt(2)``, read at ``x_+- = (x_A +- x_B)/sqrt(2)``,
-    the state is a product of single-mode states with CM ``diag(Vx, Vp)`` =
-    ``(lam + cx, lam - cp)`` and ``(lam - cx, lam + cp)``.  The pair
-    ``(x_A, x_B)`` has covariance ``gx/2``, ``gx = [[lam, cx], [cx, lam]]``, so
-    discordant over concordant density is ``exp(-2x0^2/(lam-cx) + 2x0^2/(lam+cx))``
-    and ``r = 4 cx / ((lam - cx)(lam + cx))``.  Per mode, the adversary's states
-    conditioned on outcomes ``x, x'`` overlap like the position-space density
-    matrix ``rho(x, x') ~ exp(-(x + x')^2/(4 Vx) - Vp (x - x')^2/4)``, i.e.
-    ``exp(-(x - x')^2 (Vp - 1/Vx)/4)`` once normalized, for any purification.
-    ``++`` against ``--`` moves ``x_+`` by ``2 sqrt(2) x0``, giving
-    ``q_same = 2(lam - cp) - 2/(lam + cx)``; ``+-`` against ``-+`` moves ``x_-``
-    alike, ``q_diff = 2(lam + cp) - 2/(lam - cx)``; a mixed pair moves both by
-    ``sqrt(2) x0``, ``q_mix = (q_same + q_diff)/4``.
-
-    The generic route of :func:`eve_ensemble` agrees: its conditional CM is
-    ``blockdiag(gx, gx^-1)`` at every outcome and its displacements are
-    momentum-only and linear in ``(x_A, x_B)``, so the Gram matrix is real and
-    Gaussian in ``x0``.  Tests pin the two routes together.
-    """
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
-    minus, plus = p.lam - p.cx, p.lam + p.cx
-    q_same = 2.0 * (p.lam - p.cp) - 2.0 / plus
-    q_diff = 2.0 * (p.lam + p.cp) - 2.0 / minus
-    q = np.full((4, 4), 0.25 * (q_same + q_diff))
-    q[0, 1] = q[1, 0] = q_same
-    q[2, 3] = q[3, 2] = q_diff
-    np.fill_diagonal(q, 0.0)
-    return 4.0 * p.cx / (minus * plus), q
+def _state_exponents(p):
+    """``[r, q_same, q_diff, q_mix]``, the exponents that build the effective
+    state; ``q_mix = (q_same + q_diff)/4`` belongs to a mixed pair, one
+    concordant and one discordant sign pair."""
+    r, q_same, q_diff = symmetric_exponents(p)
+    return np.array([r, q_same, q_diff, 0.25 * (q_same + q_diff)])
 
 
 def eve_ensemble(p, x0):
@@ -156,9 +128,9 @@ def eve_ensemble(p, x0):
     pairwise pure-state overlaps.
 
     This is the generic reference route; the closed forms of
-    :func:`_exponents` reproduce its Gram matrix.  A negative ``x0``
-    relabels the four sectors and leaves every derived quantity invariant;
-    zero is rejected.
+    :func:`~gausskey.gaussian.symmetric_exponents` reproduce its Gram
+    matrix.  A negative ``x0`` relabels the four sectors and leaves every
+    derived quantity invariant; zero is rejected.
     """
     _check_x0(x0)
     pur = purify(symmetric_embed(p))
@@ -181,26 +153,29 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(-_exponent(_exponents(p)[1][0, 1], x0)))
+    return float(np.exp(-_exponent(symmetric_exponents(p)[1], x0)))
 
 
-def _key_condition(exponents, kind):
-    """``eps/(1-eps) < |<e_++|e_-->|**power`` for the attack kind, given the
-    state's :func:`_exponents`; both sides are ``exp(-k x0^2)``, so this is
-    ``r > power * q_same`` at every nonzero threshold."""
-    if kind == GENERAL:
-        raise InvalidInput("use optimize_rate for the general one-way bound")
-    if kind not in _OVERLAP_POWER:
-        raise InvalidInput(f"unknown attack kind {kind!r}")
-    r, q = exponents
-    return bool(r > _OVERLAP_POWER[kind] * q[0, 1])
+def _secure(p, attack):
+    """Whether the state admits key against the attack kind.
+
+    The general attack needs a one-way rate above :data:`_RATE_FLOOR` at some
+    threshold.  The others need ``eps/(1-eps) < |<e_++|e_-->|**power``; both
+    sides are ``exp(-k x0^2)``, so that is ``r > power * q_same`` at every
+    nonzero threshold."""
+    if attack == GENERAL:
+        return optimize_rate(p)[1] > _RATE_FLOOR
+    if attack not in _OVERLAP_POWER:
+        raise InvalidInput(f"unknown attack kind {attack!r}")
+    r, q_same, _ = symmetric_exponents(p)
+    return bool(r > _OVERLAP_POWER[attack] * q_same)
 
 
 def individual_attack_secure(p, x0):
     """Key condition against symbol-by-symbol adversary measurements:
     ``eps/(1-eps) < |<e_++|e_-->|``; the same at every nonzero ``x0``."""
     _check_x0(x0)
-    return _key_condition(_exponents(p), INDIVIDUAL)
+    return _secure(p, INDIVIDUAL)
 
 
 def coherent_ad_secure(p, x0):
@@ -208,7 +183,7 @@ def coherent_ad_secure(p, x0):
     coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``; the same at every nonzero
     ``x0``."""
     _check_x0(x0)
-    return _key_condition(_exponents(p), COHERENT_AD)
+    return _secure(p, COHERENT_AD)
 
 
 def effective_state(p, x0):
@@ -217,22 +192,21 @@ def effective_state(p, x0):
     Amplitudes ``sqrt((1-eps)/2)`` sit on the concordant outcomes and
     ``sqrt(eps/2)`` on the discordant ones; tracing out the adversary leaves
     ``rho[s, t] = c_s c_t <e_t|e_s>``, with the real Gram matrix
-    ``exp(-x0^2 Q)`` of :func:`_exponents`.  This matrix route is the
-    reference for the closed-form spectrum of :func:`rate_lower_bound`.
+    ``exp(-x0^2 Q)``: ``Q`` holds ``q_same`` on the ``(++, --)`` pair,
+    ``q_diff`` on ``(+-, -+)``, ``q_mix`` on the mixed pairs and 0 on the
+    diagonal.  This matrix route is the reference for the closed-form
+    spectrum of :func:`rate_lower_bound`.
     """
     _check_x0(x0)
-    r, q = _exponents(p)
+    r, q_same, q_diff, q_mix = _state_exponents(p)
+    q = np.full((4, 4), q_mix)
+    q[0, 1] = q[1, 0] = q_same
+    q[2, 3] = q[3, 2] = q_diff
+    np.fill_diagonal(q, 0.0)
     gram = np.exp(-_exponent(q, x0))
     eps = float(error_from_exponent(_exponent(r, x0)))
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
-
-
-def _rate_exponents(p):
-    """The exponents ``[r, q_same, q_diff, 2 q_mix]`` of the decaying terms
-    of :func:`rate_lower_bound`."""
-    r, q = _exponents(p)
-    return np.array([r, q[0, 1], q[2, 3], 2.0 * q[0, 2]])
 
 
 def rate_lower_bound(p, x0):
@@ -254,7 +228,7 @@ def rate_lower_bound(p, x0):
     _check_x0(x0)
     # k x0^2 for k = r, q_same, q_diff, 2 q_mix in one call, one row per k;
     # g_mix^2 = exp(-k_pair)
-    k = _rate_exponents(p)
+    k = _state_exponents(p) * np.array([1.0, 1.0, 1.0, 2.0])
     k_r, k_same, k_diff, k_pair = _exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
     eps = error_from_exponent(k_r)
     a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
@@ -284,8 +258,8 @@ def optimize_rate(p, x0_max=5.0):
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
     # a term with k = inf is 0 at every threshold; two roots, because 746 / k
     # overflows for k below 4e-306
-    r, q_same, q_diff, k_pair = _rate_exponents(p)
-    k = [float(v) for v in (r, 0.5 * q_same, 0.5 * q_diff, k_pair) if 0.0 < v < np.inf]
+    r, q_same, q_diff, q_mix = _state_exponents(p)
+    k = [float(v) for v in (r, 0.5 * q_same, 0.5 * q_diff, 2.0 * q_mix) if 0.0 < v < np.inf]
     hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
     x, neg = matkit.minimize_scalar(lambda xs: -rate_lower_bound(p, xs), 1e-6 * hi, hi, tol=1e-6)
     return float(x), float(-neg)
@@ -295,50 +269,62 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     """Whether some threshold on the grid satisfies the overlap-based key
     condition of the given attack model.  The condition does not depend on
     the threshold, so the grid is only validated."""
-    grid = _DEFAULT_X0_GRID if x0_grid is None else np.asarray(x0_grid, dtype=float)
-    if grid.size == 0 or grid.min() <= 0:
+    if x0_grid is not None and (np.size(x0_grid) == 0 or np.min(x0_grid) <= 0):
         raise InvalidInput("x0 grid must be positive")
-    return _key_condition(_exponents(p), attack)
-
-
-def _frontier_predicate(attack):
     if attack == GENERAL:
-        return lambda p: optimize_rate(p)[1] > _RATE_FLOOR
-    return lambda p: _key_condition(_exponents(p), attack)
+        raise InvalidInput("use optimize_rate for the general one-way bound")
+    return _secure(p, attack)
+
+
+def frontier_rails(c):
+    """The rails of the ``cx = cp = c`` slice, ``(sqrt(1 + c^2), c + 1)``:
+    physical at or above the first, entangled below the second.  Plain-float
+    arithmetic, so a huge ``c`` gives ``inf`` rather than a numpy warning."""
+    c = float(c)
+    return math.sqrt(1.0 + c * c), c + 1.0
 
 
 def security_frontier(c_grid, attack=INDIVIDUAL):
     """Critical local variance per correlation value on the ``cx = cp = c``
     slice of the family.
 
-    For each ``c`` the physical region is ``lam >= sqrt(1 + c^2)`` and the
-    entangled one is ``lam < c + 1``; bisection between those rails finds
-    where the attack's security predicate flips.  Returns ``(c, lam_star)``
-    pairs in grid order.
+    Bisection between the rails of :func:`frontier_rails`, the lower one
+    lifted by a relative 1e-12 margin, finds where the attack's key
+    condition (:func:`_secure`) flips, to a width of 1e-6.  For ``general``
+    this is a rate-threshold frontier: ``lam_star`` is where the best one-way
+    rate over thresholds ``x0 <= 5`` falls to 1e-12 bits per accepted symbol.
+    A ``c`` above about 1e12, where the margin reaches the upper rail, raises
+    :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in grid order.
     """
     c_grid = np.asarray(c_grid, dtype=float)
     if c_grid.size == 0:
         raise InvalidInput("c grid must not be empty")
     if c_grid.min() <= 0 or np.any(np.diff(c_grid) <= 0):
         raise InvalidInput("c grid must be positive and ascending")
-    secure = _frontier_predicate(attack)
+    brackets = []
+    for c in c_grid.tolist():
+        solid, hi = frontier_rails(c)
+        lo = solid * (1.0 + 1e-12) + 1e-12
+        if not lo < hi:
+            raise InvalidInput(f"c = {c:g}: the rails sqrt(1 + c^2) and c + 1 cannot be separated")
+        brackets.append((c, lo, hi))
     out = []
-    for c in c_grid:
-        lo = np.sqrt(1.0 + c * c) * (1.0 + 1e-12) + 1e-12
-        hi = c + 1.0
-        if not secure(SymmetricStateParams(lo, c, c)):
-            out.append((float(c), float(lo)))
+    for c, lo, hi in brackets:
+        if not _secure(SymmetricStateParams(lo, c, c), attack):
+            out.append((c, lo))
             continue
-        if secure(SymmetricStateParams(hi, c, c)):
-            out.append((float(c), float(hi)))
+        if _secure(SymmetricStateParams(hi, c, c), attack):
+            out.append((c, hi))
             continue
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if secure(SymmetricStateParams(mid, c, c)):
+        # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
+        mid = 0.5 * (lo + hi)
+        while hi - lo > 1e-6 and lo < mid < hi:
+            if _secure(SymmetricStateParams(mid, c, c), attack):
                 lo = mid
             else:
                 hi = mid
-        out.append((float(c), float(0.5 * (lo + hi))))
+            mid = 0.5 * (lo + hi)
+        out.append((c, mid))
     return out
 
 
@@ -348,18 +334,16 @@ def build_report(p, x0_max=5.0):
     NPPT comes from :func:`npt_symmetric` rather than the exponents, so the
     report's ``nppt`` and ``individual_secure`` stay two routes to one fact.
     """
-    exponents = _exponents(p)
-    r, q = exponents
+    individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
     best_x0, rate = optimize_rate(p, x0_max)
     return SecurityReport(
-        params=p,
         physical=True,
         nppt=npt_symmetric(p),
-        individual_secure=_key_condition(exponents, INDIVIDUAL),
-        coherent_ad_secure=_key_condition(exponents, COHERENT_AD),
+        individual_secure=individual,
+        coherent_ad_secure=coherent_ad,
         general_secure=bool(rate > _RATE_FLOOR),
         best_x0=best_x0,
         rate_lb=rate,
-        eps_ab=float(error_from_exponent(_exponent(r, best_x0))),
-        eve_overlap=float(np.exp(-_exponent(q[0, 1], best_x0))),
+        eps_ab=error_probability(p, best_x0),
+        eve_overlap=eve_overlap(p, best_x0),
     )

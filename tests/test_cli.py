@@ -189,6 +189,11 @@ class TestDomainErrors:
             (False, ("simulate", "--lambda", "1.5", "--cx", "0.5", "--cp", "1", "--x0", "1")),
             (False, ("frontier", "--c-min", "0", "--c-max", "1")),
             (False, ("frontier", "--c-min", "-1", "--c-max", "1", "--format", "json")),
+            # c * c overflows at 1e200, linspace meets inf, and above c ~ 1e12
+            # the lower rail's margin reaches the upper rail
+            (False, ("frontier", "--c-min", "1", "--c-max", "1e200")),
+            (False, ("frontier", "--c-max", "inf")),
+            (False, ("frontier", "--c-min", "1e9", "--c-max", "1e13", "--steps", "5")),
         ]
         for unphysical, argv in cases:
             code, out, err = run(capsys, *argv)
@@ -224,6 +229,92 @@ class TestHugeThresholds:
             code, out, err = run(capsys, *argv)
             assert code == 0 and err == "", (argv, err)
             assert all(np.isfinite(v) for v in json.loads(out).values() if isinstance(v, float))
+
+    def test_huge_window_exits_3_in_one_line(self, capsys):
+        # x0 and window near 1e200: no pair lands in the window, and the
+        # window arithmetic must not overflow on the way
+        code, out, err = run(
+            capsys, "simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1e200",
+            "--window", "1e199", "--pairs", "1000",
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("no pairs accepted"), err
+
+
+_FRONTIER_HEAD = "c,lambda_star,lambda_solid,lambda_dashed\n"
+_FRONTIER_RAILS = ("1.11803398875,1.5", "1.41421356237,2", "1.80277563773,2.5")
+
+
+def _frontier_golden(*stars):
+    rows = (f"{c},{star},{rails}" for c, star, rails in zip(("0.5", "1", "1.5"), stars, _FRONTIER_RAILS))
+    return _FRONTIER_HEAD + "".join(row + "\n" for row in rows)
+
+
+# (argv, exit code, stdout, stderr), recorded byte for byte
+GOLDEN = [
+    (
+        ("analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1"),
+        0,
+        '{\n  "lambda": 1.5,\n  "c_x": 1.0,\n  "c_p": 1.0,\n  "physical": true,\n'
+        '  "nppt": true,\n  "eps_ab_at_best_x0": 0.00496752432579,\n'
+        '  "eve_overlap": 0.718032201939,\n  "individual_secure": true,\n'
+        '  "coherent_ad_secure": true,\n  "rate_lb": 0.340032784396,\n'
+        '  "best_x0": 1.2869360152\n}\n',
+        "",
+    ),
+    (
+        ("analyze", "--lambda", "2", "--cx", "0.5", "--cp", "0.5"),
+        0,
+        '{\n  "lambda": 2.0,\n  "c_x": 0.5,\n  "c_p": 0.5,\n  "physical": true,\n'
+        '  "nppt": false,\n  "eps_ab_at_best_x0": 0.499999999997,\n'
+        '  "eve_overlap": 0.999999999945,\n  "individual_secure": false,\n'
+        '  "coherent_ad_secure": false,\n  "rate_lb": -1.35900853324e-09,\n'
+        '  "best_x0": 5e-06\n}\n',
+        "",
+    ),
+    (
+        ("analyze", "--lambda", "1.5", "--cx", "1.3", "--cp", "1"),
+        2,
+        "",
+        "domain error: unphysical parameters SymmetricStateParams(lam=1.5, cx=1.3, cp=1.0)\n",
+    ),
+    (
+        ("frontier", "--c-min", "0.5", "--c-max", "1.5", "--steps", "3", "--attack", "individual"),
+        0,
+        _frontier_golden("1.49999963573", "1.99999972068", "2.49999966754"),
+        "",
+    ),
+    (
+        ("frontier", "--c-min", "0.5", "--c-max", "1.5", "--steps", "3", "--attack", "coherent-ad"),
+        0,
+        _frontier_golden("1.35463795202", "1.80193780982", "2.27639936454"),
+        "",
+    ),
+    (
+        ("frontier", "--c-min", "0.5", "--c-max", "1.5", "--steps", "3", "--attack", "general"),
+        0,
+        _frontier_golden("1.32526458158", "1.76040557285", "2.22916442473"),
+        "",
+    ),
+    (
+        ("simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1", "--window", "0.05",
+         "--pairs", "200000", "--seed", "7"),
+        0,
+        '{\n  "accepted": 531,\n  "acceptance_rate": 0.002655,\n'
+        '  "eps_empirical": 0.030131826742,\n  "eps_theory": 0.0391657227968,\n'
+        '  "blocks": 265,\n  "blocks_kept": 251,\n'
+        '  "eps_n_empirical": 0.00398406374502,\n  "eps_n_theory": 0.00165880108017,\n'
+        '  "stderr_estimates": {\n    "eps": 0.00841840967068,\n'
+        '    "eps_n": 0.00256861959234\n  }\n}\n',
+        "",
+    ),
+]
+
+
+class TestGoldenOutput:
+    def test_byte_for_byte(self, capsys):
+        for argv, code, out, err in GOLDEN:
+            assert run(capsys, *argv) == (code, out, err), argv
 
 
 class TestOracleCheckCommand:

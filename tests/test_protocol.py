@@ -33,34 +33,6 @@ def assert_same_rate(k1, n1, k2, n2, what):
     assert abs(k1 / n1 - k2 / n2) <= 4.0 * sigma, (what, k1 / n1, k2 / n2, sigma)
 
 
-class TestJointSignDistribution:
-    def test_uncorrelated_uniform(self):
-        table = pr.joint_sign_distribution(SymmetricStateParams(1.5, 0.0, 0.0), 1.0)
-        assert np.allclose(table, 0.25)
-
-    def test_matches_error_formula(self):
-        # off-diagonal mass over total pins the density ratio
-        # exp(-4 cx x0^2 / (lam^2 - cx^2)) and with it the cm/2 variance rule
-        table = pr.joint_sign_distribution(P111, 1.0)
-        eps = table[0, 1] + table[1, 0]
-        assert abs(eps - EPS111) < 1e-12
-        assert abs(eps - 0.03917) < 1e-5
-
-    def test_zero_threshold_uniform(self):
-        table = pr.joint_sign_distribution(P111, 0.0)
-        assert np.allclose(table, 0.25)
-
-    def test_symmetry_and_normalization(self):
-        table = pr.joint_sign_distribution(P111, 0.7)
-        assert table[0, 0] == table[1, 1]
-        assert table[0, 1] == table[1, 0]
-        assert abs(table.sum() - 1.0) < 1e-14
-
-    def test_rejects_unphysical(self):
-        with pytest.raises(InvalidInput):
-            pr.joint_sign_distribution(SymmetricStateParams(1.5, 1.3, 1.0), 1.0)
-
-
 class TestErrorProbability:
     def test_reference_point(self):
         assert abs(pr.error_probability(P111, 1.0) - 0.03917) < 1e-5
@@ -84,6 +56,20 @@ class TestErrorProbability:
     def test_degenerate_pole(self):
         with pytest.raises(DegenerateParams):
             pr.error_probability(SymmetricStateParams(1.0, 1.0, 0.0), 1.0)
+
+    def test_matches_density_ratio(self):
+        # discordant over concordant density of the measured pair pins
+        # r = 4 cx / ((lam - cx)(lam + cx)) and with it the cm/2 variance rule
+        inv = np.linalg.inv(pr.pair_covariance(P111))
+        for x0 in (0.3, 1.0, 1.7):
+            same, diff = np.array([x0, x0]), np.array([x0, -x0])
+            ratio = np.exp(-0.5 * (diff @ inv @ diff - same @ inv @ same))
+            assert abs(pr.error_probability(P111, x0) - ratio / (1.0 + ratio)) < 1e-12, x0
+        assert abs(pr.error_probability(P111, 1.0) - EPS111) < 1e-12
+
+    def test_rejects_unphysical(self):
+        with pytest.raises(InvalidInput):
+            pr.error_probability(SymmetricStateParams(1.5, 1.3, 1.0), 1.0)
 
 
 class TestAdError:

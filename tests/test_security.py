@@ -4,7 +4,7 @@ import pytest
 from conftest import random_symmetric_params
 from gausskey import matkit, security as sec
 from gausskey.errors import InvalidInput
-from gausskey.gaussian import SymmetricStateParams, npt_symmetric, xxpp_indices
+from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
 from gausskey.protocol import error_probability
 
 P111 = SymmetricStateParams(1.5, 1.0, 1.0)
@@ -65,11 +65,17 @@ class TestEveEnsemble:
             sec.eve_ensemble(P111, 0.0)
 
 
-def reference_rate(p, x0):
-    """One-way rate built on the generic ensemble of ``eve_ensemble``."""
+def reference_rho(p, x0):
+    """Effective two-qubit state built on the generic ensemble of
+    ``eve_ensemble``: ``rho[s, t] = c_s c_t <e_t|e_s>``."""
     eps = error_probability(p, x0)
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
-    rho = (c[:, None] * c[None, :]) * sec.eve_ensemble(p, x0).gram.T
+    return eps, (c[:, None] * c[None, :]) * sec.eve_ensemble(p, x0).gram.T
+
+
+def reference_rate(p, x0):
+    """One-way rate built on the generic ensemble of ``eve_ensemble``."""
+    eps, rho = reference_rho(p, x0)
     w, _ = matkit.eigh(0.5 * (rho + rho.conj().T))
     return 1.0 - matkit.binary_entropy(eps) - matkit.entropy_bits(np.clip(w.real, 0.0, None))
 
@@ -86,10 +92,11 @@ class TestClosedFormReference:
         rng = np.random.default_rng(41)
         for _ in range(100):
             p = random_symmetric_params(rng)
-            _, q = sec._exponents(p)
             for x0 in (1e-3, 0.5, 1.0, 2.5, 5.0):
-                gram = sec.eve_ensemble(p, x0).gram
-                assert np.abs(np.exp(-x0 * x0 * q) - gram).max() < 1e-12, (p, x0)
+                eps, rho = reference_rho(p, x0)
+                eff = sec.effective_state(p, x0)
+                assert abs(eff.eps_ab - eps) < 1e-15, (p, x0)
+                assert np.abs(eff.rho - rho).max() < 1e-12, (p, x0)
                 assert abs(sec.rate_lower_bound(p, x0) - reference_rate(p, x0)) < 1e-12, (p, x0)
 
     def test_block_spectrum_matches_eigh(self):
@@ -162,7 +169,9 @@ class TestHugeThresholds:
         rng = np.random.default_rng(5)
         for _ in range(50):
             p = random_symmetric_params(rng, lam_range=(1.0, 40.0))
-            k = sec._rate_exponents(p) * np.array([1.0, 0.5, 0.5, 1.0])
+            # exponents of r, the determinant's sqrt(g_same), sqrt(g_diff), and g_mix^2
+            r, q_same, q_diff = symmetric_exponents(p)
+            k = np.array([r, q_same / 2, q_diff / 2, (q_same + q_diff) / 2])
             cap = np.sqrt(746.0 / k[k > 0].min())
             rates = sec.rate_lower_bound(p, cap * np.array([1.0, 1.5, 1e10]))
             assert rates[0] == rates[1] == rates[2], p
@@ -253,10 +262,8 @@ class TestEffectiveState:
 
     def test_identity_gram_gives_classical_mixture(self, monkeypatch):
         # infinite off-diagonal exponents make the Gram matrix the identity
-        r, _ = sec._exponents(P111)
-        q = np.full((4, 4), np.inf)
-        np.fill_diagonal(q, 0.0)
-        monkeypatch.setattr(sec, "_exponents", lambda p: (r, q))
+        r, _, _ = symmetric_exponents(P111)
+        monkeypatch.setattr(sec, "symmetric_exponents", lambda p: (r, np.inf, np.inf))
         eff = sec.effective_state(P111, 1.0)
         eps = eff.eps_ab
         want = np.diag([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2])
@@ -348,9 +355,19 @@ class TestFrontier:
         (c, lam_star), = pts
         assert np.sqrt(1 + c * c) + 1e-4 < lam_star < c + 1.0 - 1e-4
 
+    def test_huge_c_between_rails(self):
+        # above c ~ 1e10 the float spacing exceeds the bisection width
+        for c, lam_star in sec.security_frontier(np.array([1e9, 1e11]), sec.INDIVIDUAL):
+            solid, dashed = sec.frontier_rails(c)
+            assert solid < lam_star <= dashed, c
+
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInput):
             sec.security_frontier(np.array([]), sec.INDIVIDUAL)
+        # rails that cannot be separated (above c ~ 1e12) or a non-finite c
+        for c in (5e12, 1e200, np.inf, np.nan):
+            with pytest.raises(InvalidInput):
+                sec.security_frontier(np.array([0.5, c]), sec.INDIVIDUAL)
         with pytest.raises(InvalidInput):
             sec.security_frontier(np.array([1.0, 0.5]), sec.INDIVIDUAL)
 
