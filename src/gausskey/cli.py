@@ -201,6 +201,10 @@ def cmd_frontier(args):
     if not np.isfinite(args.c_max):
         raise InvalidInput("correlations must be finite")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
+    if np.any(np.diff(grid) <= 0):
+        raise _UsageError(
+            f"the --c-min..--c-max range holds fewer than --steps={args.steps} distinct values"
+        )
     rows = [
         (c, lam, *security.frontier_rails(c))
         for c, lam in security.security_frontier(grid, args.attack)

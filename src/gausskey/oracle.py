@@ -64,7 +64,7 @@ class GridWavefunction:
             raise InvalidInput("between 1 and 4 modes supported")
         if any(s != self.axis.points for s in amp.shape):
             raise InvalidInput("amplitude array shape must match the axis")
-        norm2 = float(np.sum(np.abs(amp) ** 2) * self.axis.spacing**amp.ndim)
+        norm2 = _norm2(amp, self.axis)
         if abs(norm2 - 1.0) > 1e-6:
             raise InvalidInput(f"wavefunction norm^2 is {norm2}, not 1")
         object.__setattr__(self, "amplitudes", amp)
@@ -80,6 +80,12 @@ def _local_symplectic_spectrum(cm):
     ev = np.abs(np.linalg.eigvals(j @ cm))
     ev.sort()
     return ev[::2]
+
+
+def _norm2(amp, axis):
+    """``sum |amp|^2 dx^k`` over the ``k`` axes of ``amp``, without a
+    temporary of its size."""
+    return float(np.vdot(amp, amp).real) * axis.spacing**amp.ndim
 
 
 def _sparse_coords(axis, n):
@@ -125,17 +131,29 @@ def wavefunction_from_pure(cm, dv, axis):
     v = 0.5 * (v + v.T)
     m = u + 1j * v
 
-    coords = _sparse_coords(axis, n)
-    quad = np.zeros((axis.points,) * n, dtype=complex)
-    phase = np.zeros((axis.points,) * n)
-    for i in range(n):
-        yi = coords[i] - xbar[i]
-        phase = phase + pbar[i] * coords[i]
-        for k in range(n):
-            quad = quad + m[i, k] * (yi * (coords[k] - xbar[k]))
-    psi = np.exp(-0.5 * quad + 1j * phase)
-    norm = np.sqrt(np.sum(np.abs(psi) ** 2) * axis.spacing**n)
-    return GridWavefunction(axis, psi / norm)
+    # The exponent -1/2 y^T M y + i pbar . x, y = x - xbar, split off mode 0:
+    # `rest` holds the terms of modes 1..n-1 and `cross` the coefficient of
+    # y0 in the mode-0 cross terms, both on one slab of axis 0, so only the
+    # output array is ever full size.
+    sub = _sparse_coords(axis, n - 1)
+    ys = [c - xb for c, xb in zip(sub, xbar[1:])]
+    rest = np.zeros((axis.points,) * (n - 1), dtype=complex)
+    cross = np.zeros_like(rest)
+    for i in range(1, n):
+        rest += 1j * pbar[i] * sub[i - 1]
+        cross -= 0.5 * (m[0, i] + m[i, 0]) * ys[i - 1]
+        for k in range(1, n):
+            rest -= 0.5 * m[i, k] * (ys[i - 1] * ys[k - 1])
+    y0 = axis.nodes - xbar[0]
+    head = -0.5 * m[0, 0] * y0**2 + 1j * pbar[0] * axis.nodes
+
+    psi = np.empty((axis.points,) * n, dtype=complex)
+    for j in range(axis.points):
+        out = psi[j, ...]  # a view, also when it is 0-dimensional
+        np.add(rest, y0[j] * cross + head[j], out=out)
+        np.exp(out, out=out)
+    psi /= np.sqrt(_norm2(psi, axis))
+    return GridWavefunction(axis, psi)
 
 
 def grid_overlap(a, b):
@@ -173,8 +191,7 @@ def grid_condition_on_x(psi, measured_axes, outcomes):
     for m, x in zip(axes, outcomes):
         slicer[m] = _snap(psi.axis, x)
     slab = psi.amplitudes[tuple(slicer)]
-    rem = psi.n_modes - len(axes)
-    norm = np.sqrt(np.sum(np.abs(slab) ** 2) * psi.axis.spacing**rem)
+    norm = np.sqrt(_norm2(slab, psi.axis))
     if norm < 1e-12:
         raise OutcomeUnlikely(f"slice at {outcomes} has norm {norm}")
     return GridWavefunction(psi.axis, slab / norm)
@@ -249,7 +266,7 @@ def grid_reduced_spectrum(psi, x0):
     for sa, sb in signs:
         ia, ib = _snap(psi.axis, sa), _snap(psi.axis, sb)
         slab = psi.amplitudes[ia, ib]
-        w = float(np.sum(np.abs(slab) ** 2) * dx**2)
+        w = _norm2(slab, psi.axis)
         if w < 1e-300:
             raise OutcomeUnlikely(f"sector ({sa}, {sb}) has no support on the grid")
         weights.append(w)

@@ -251,7 +251,8 @@ def optimize_rate(p, x0_max=5.0):
     coefficient of an ``exp(-k x0^2)`` in the rate (``r``, ``q_same/2``,
     ``q_diff/2`` and ``2 q_mix``).  Past the cap every such term underflows to
     0, so the rate is exactly constant there and a huge ``x0_max`` cannot push
-    the search past the optimum.  Returns ``(best_x0, best_rate)``.
+    the search past the optimum.  A subnormal ``x0_max``, for which ``1e-6 hi``
+    underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``.
     """
     if not (np.isfinite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be positive")
@@ -261,7 +262,12 @@ def optimize_rate(p, x0_max=5.0):
     r, q_same, q_diff, q_mix = _state_exponents(p)
     k = [float(v) for v in (r, 0.5 * q_same, 0.5 * q_diff, 2.0 * q_mix) if 0.0 < v < np.inf]
     hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
-    x, neg = matkit.minimize_scalar(lambda xs: -rate_lower_bound(p, xs), 1e-6 * hi, hi, tol=1e-6)
+    lo = 1e-6 * hi
+    if not 0.0 < lo < hi:
+        raise InvalidInput(
+            f"x0_max={x0_max!r} leaves no positive search range [1e-6 x0_max, x0_max]"
+        )
+    x, neg = matkit.minimize_scalar(lambda xs: -rate_lower_bound(p, xs), lo, hi, tol=1e-6)
     return float(x), float(-neg)
 
 

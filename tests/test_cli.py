@@ -99,6 +99,14 @@ class TestFrontier:
         code, _, _ = run(capsys, "frontier", "--c-min", "2.0", "--c-max", "1.0")
         assert code == 1
 
+    def test_too_narrow_range_exits_1(self, capsys):
+        # one float apart: np.linspace repeats values, the grid is not the user's fault
+        code, out, err = run(capsys, "frontier", "--c-min", "1", "--c-max", "1.0000000000000002",
+                             "--steps", "30")
+        assert code == 1 and out == ""
+        assert err == ("error: the --c-min..--c-max range holds fewer than --steps=30 "
+                       "distinct values\n")
+
 
 SIM_ARGS = (
     "simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1",
@@ -200,6 +208,14 @@ class TestDomainErrors:
             assert code == 2, argv
             assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
             assert not unphysical or "unphysical" in err, (argv, err)
+
+    def test_subnormal_x0_max_names_it(self, capsys):
+        # 1e-6 * x0_max underflows to 0, which once blamed a threshold never given
+        code, out, err = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1",
+                             "--x0-max", "1e-320")
+        assert code == 2 and out == ""
+        assert err == ("domain error: x0_max=1e-320 leaves no positive search range "
+                       "[1e-6 x0_max, x0_max]\n")
 
     def test_usage_errors_come_first(self, capsys):
         # a missing value or a bad worker count is exit 1 even on a bad state
@@ -323,6 +339,13 @@ class TestOracleCheckCommand:
         assert code == 0
         assert out.strip().endswith("PASS")
         assert "FAIL" not in out
+
+    def test_full_passes(self, capsys):
+        code, out, _ = run(capsys, "oracle-check", "--level", "full")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 12 and all(line.startswith("ok   ") for line in lines[:-1])
+        assert lines[-1] == "PASS"
 
 
 class TestConfigPrecedence:

@@ -1,10 +1,59 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import random_physical_cm
 from gausskey import gaussian as g, oracle as o
 from gausskey.errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 
 AX = o.GridAxis(-8.0, 8.0, 201)
+
+
+def dense_wavefunction(cm, dv, axis):
+    """Reference tabulation: the broadcasting build ``wavefunction_from_pure``
+    used before it streamed slabs.  Every term is formed at full grid size;
+    returns the normalized amplitude array."""
+    cm = np.asarray(cm, dtype=float)
+    dv = np.asarray(dv, dtype=float)
+    n = cm.shape[0] // 2
+    xbar, pbar = dv[0::2], dv[1::2]
+    u = np.linalg.inv(cm[0::2, 0::2])
+    v = -u @ cm[0::2, 1::2]
+    m = u + 1j * (0.5 * (v + v.T))
+    coords = [axis.nodes.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n)]
+    quad = np.zeros((axis.points,) * n, dtype=complex)
+    phase = np.zeros((axis.points,) * n)
+    for i in range(n):
+        yi = coords[i] - xbar[i]
+        phase = phase + pbar[i] * coords[i]
+        for k in range(n):
+            quad = quad + m[i, k] * (yi * (coords[k] - xbar[k]))
+    psi = np.exp(-0.5 * quad + 1j * phase)
+    return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * axis.spacing**n)
+
+
+def covering_axis(cm, dv, points):
+    """A grid that holds 6.5 sigma of every position marginal."""
+    half = max(abs(dv[2 * i]) + 6.5 * np.sqrt(cm[2 * i, 2 * i] / 2.0) for i in range(len(dv) // 2))
+    return o.GridAxis(-half, half, points)
+
+
+def random_pure_state(squeezings, nu, z, dv):
+    """A pure state on ``len(squeezings)`` modes: squeezed vacua, the first two
+    of them replaced by the purification of a thermal mode of symplectic
+    eigenvalue ``nu`` when ``nu`` is given, then mixed by the passive unitary
+    ``qr(z).Q``."""
+    n = len(squeezings)
+    cm0 = np.diag(np.exp(np.repeat(squeezings, 2) * np.tile([2.0, -2.0], n)))
+    if nu is not None:
+        cm0[:4, :4] = g.purify(g.GaussianState(nu * np.eye(2), np.zeros(2))).cm
+    q, _ = np.linalg.qr(z)
+    idx = g.xxpp_indices(n)
+    rot = np.empty((2 * n, 2 * n))
+    rot[np.ix_(idx, idx)] = np.block([[q.real, -q.imag], [q.imag, q.real]])
+    return rot @ cm0 @ rot.T, np.asarray(dv, dtype=float)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +118,64 @@ class TestWavefunctionFromPure:
         w = o.wavefunction_from_pure(np.diag([0.5, 2.0]), np.zeros(2), AX)
         total = np.sum(np.abs(w.amplitudes) ** 2) * AX.spacing
         assert abs(total - 1.0) < 1e-6
+
+
+def _assert_matches_dense(cm, dv, axis):
+    got = o.wavefunction_from_pure(cm, dv, axis).amplitudes
+    ref = dense_wavefunction(cm, dv, axis)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestSlabBuild:
+    """The slab-streamed build against the dense broadcasting reference."""
+
+    def test_one_to_four_modes(self):
+        rng = np.random.default_rng(0)
+        z = lambda n: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        pur2 = g.purify(g.GaussianState(random_physical_cm(rng, 1), np.array([0.4, -0.9])))
+        # the 4-mode purification's position block has an inverse that is
+        # symmetric only to rounding, so M's two halves really differ
+        pur4 = g.purify(g.GaussianState(random_physical_cm(rng, 2), np.array([0.5, 1.0, -0.3, 0.7])))
+        u = np.linalg.inv(pur4.cm[0::2, 0::2])
+        assert not np.array_equal(u, u.T)
+        cases = [
+            (*random_pure_state([0.4], None, z(1), [0.7, -1.1]), 101),
+            (pur2.cm, pur2.dv, 61),
+            (*random_pure_state([0.3, -0.2, 0.1], 1.6, z(3), [0.5, 0.8, -0.6, -0.4, 0.2, 1.0]), 25),
+            (pur4.cm, pur4.dv, 21),
+        ]
+        for cm, dv, points in cases:
+            assert np.abs(dv[1::2]).min() > 0  # nonzero pbar on every mode
+            _assert_matches_dense(cm, dv, covering_axis(cm, dv, points))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.data())
+    def test_random_pure_states(self, data):
+        n = data.draw(st.integers(1, 3), label="modes")
+        nu = data.draw(st.none() | st.floats(1.0, 2.0), label="nu") if n >= 2 else None
+        squeeze = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n), label="r")
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n))
+        dv = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n), label="dv")
+        z = np.reshape(parts[: n * n], (n, n)) + 1j * np.reshape(parts[n * n :], (n, n))
+        cm, dv = random_pure_state(squeeze, nu, z, dv)
+        _assert_matches_dense(cm, dv, covering_axis(cm, dv, 31))
+
+    def test_traced_peak_is_one_amplitude_array(self, purified_symmetric_111):
+        # tracemalloc sees numpy's buffers, so the bound holds on any machine
+        _, pur = purified_symmetric_111
+        axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            psi = o.wavefunction_from_pure(pur.cm, pur.dv, axis)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert psi.amplitudes.shape == (41,) * 4
+        assert peak <= 1.25 * psi.amplitudes.nbytes
 
 
 class TestGridOverlap:
