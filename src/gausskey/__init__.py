@@ -9,7 +9,6 @@ position-grid verifier (:mod:`gausskey.oracle`), and a batch CLI
 """
 
 from .errors import (
-    DegenerateParams,
     EvaluationError,
     GaussKeyError,
     GridTooSmall,
@@ -28,12 +27,10 @@ from .gaussian import (
     is_physical,
     npt_symmetric,
     partial_transpose,
-    physical_symmetric,
     pure_overlap,
     purify,
     symmetric_embed,
     symmetric_exponents,
-    symplectic_form,
     symplectic_spectrum,
     vacuum,
     williamson,

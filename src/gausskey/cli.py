@@ -96,8 +96,8 @@ def _require(args, names):
 
 
 def _params(args):
-    """The state named by ``--lambda/--cx/--cp``.  Physicality is checked by
-    the library calls that use it, which raise ``InvalidInput`` (exit 2)."""
+    """The state named by ``--lambda/--cx/--cp``; an unphysical one raises
+    ``InvalidInput`` (exit 2)."""
     _require(args, ("lam", "cx", "cp"))
     return SymmetricStateParams(args.lam, args.cx, args.cp)
 
@@ -148,7 +148,8 @@ def build_parser():
     sp.add_argument("--block-n", dest="block_n", type=int, default=2,
                     help="advantage-distillation block size (default %(default)s)")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker threads; output does not depend on this (default %(default)s)")
+                    help="worker threads, at most the CPU count; output does not depend on this "
+                         "(default %(default)s)")
     sp.add_argument("--seed", type=int, default=12345, help="RNG seed (default %(default)s)")
     _add_common(sp)
 
@@ -174,7 +175,7 @@ def cmd_analyze(args):
             "lambda": _fmt(params.lam),
             "c_x": _fmt(params.cx),
             "c_p": _fmt(params.cp),
-            "physical": report.physical,
+            "physical": True,
             "nppt": report.nppt,
             "eps_ab_at_best_x0": _fmt(report.eps_ab),
             "eve_overlap": _fmt(report.eve_overlap),

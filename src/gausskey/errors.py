@@ -14,10 +14,6 @@ class NotPSD(GaussKeyError):
     negative eigenvalue."""
 
 
-class DegenerateParams(GaussKeyError):
-    """State parameters sit on a pole of a closed-form expression."""
-
-
 class EvaluationError(GaussKeyError):
     """An objective function returned a non-finite value."""
 

@@ -38,13 +38,6 @@ def _j(n):
     return j
 
 
-def symplectic_form(n):
-    """The 2n x 2n symplectic form in mode-major ordering."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInput("mode count must be a positive integer")
-    return _j(int(n)).copy()
-
-
 def xxpp_indices(n):
     """Index array mapping mode-major order to (X..X, P..P) order.
 
@@ -123,10 +116,7 @@ def partial_transpose(cm, modes_of_a):
 
 def is_nppt(cm, modes_of_a):
     """True iff the partial transpose over ``modes_of_a`` is unphysical."""
-    pt = partial_transpose(cm, modes_of_a)
-    j = _j(pt.shape[0] // 2)
-    w = np.linalg.eigvalsh(pt + 1j * j)
-    return bool(w.min() < -_PHYS_TOL)
+    return not is_physical(partial_transpose(cm, modes_of_a))
 
 
 def symplectic_spectrum(cm):
@@ -279,7 +269,14 @@ def pure_overlap(cm, d1, d2):
 @dataclass(frozen=True)
 class SymmetricStateParams:
     """The symmetric two-mode family: equal local variances ``lam`` on both
-    modes and quadrature correlations ``diag(cx, -cp)`` between them."""
+    modes and quadrature correlations ``diag(cx, -cp)`` between them.
+
+    Only physical states can be built.  The closed-form test
+    ``lam^2 - cx*cp - 1 >= lam*(cx - cp)`` is evaluated in the factored form
+    ``(lam - cx)(lam + cp) >= 1`` so that huge parameters cannot overflow.  It
+    allows the same -1e-9 band as the matrix-level :func:`is_physical`, so
+    boundary states built from rounded square roots stay inside the family.
+    """
 
     lam: float
     cx: float
@@ -291,18 +288,8 @@ class SymmetricStateParams:
             raise InvalidInput("parameters must be finite")
         if self.lam < 0 or not self.cx >= self.cp >= 0:
             raise InvalidInput("need lam >= 0 and cx >= cp >= 0")
-
-
-def physical_symmetric(p):
-    """Closed-form physicality test: lam^2 - cx*cp - 1 >= lam*(cx - cp),
-    evaluated in the factored form (lam - cx)(lam + cp) >= 1 so that huge
-    parameters cannot overflow.
-
-    The margin is allowed the same -1e-9 band as the matrix-level
-    :func:`is_physical`, so boundary states built from rounded square roots
-    stay inside the family.
-    """
-    return bool((p.lam - p.cx) * (p.lam + p.cp) - 1.0 >= -_PHYS_TOL)
+        if (self.lam - self.cx) * (self.lam + self.cp) - 1.0 < -_PHYS_TOL:
+            raise InvalidInput(f"unphysical parameters {self}")
 
 
 def npt_symmetric(p):
@@ -317,8 +304,7 @@ def symmetric_exponents(p):
     threshold ``x0``, and ``|<e_++|e_-->| = exp(-q_same x0^2)``,
     ``|<e_+-|e_-+>| = exp(-q_diff x0^2)`` for the adversary's conditional
     states; a mixed pair (one concordant, one discordant sign pair) overlaps
-    as ``exp(-q_mix x0^2)`` with ``q_mix = (q_same + q_diff)/4``.  Raises
-    :class:`InvalidInput` for an unphysical state.
+    as ``exp(-q_mix x0^2)`` with ``q_mix = (q_same + q_diff)/4``.
 
     In the modes ``(A +- B)/sqrt(2)``, read at ``x_+- = (x_A +- x_B)/sqrt(2)``,
     the state is a product of single-mode states with CM ``diag(Vx, Vp)`` =
@@ -339,8 +325,6 @@ def symmetric_exponents(p):
     displacements are momentum-only and linear in ``(x_A, x_B)``, so the Gram
     matrix is real and Gaussian in ``x0``.  Tests pin the two routes together.
     """
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
     minus, plus = p.lam - p.cx, p.lam + p.cx
     r = 4.0 * p.cx / (minus * plus)
     return r, 2.0 * (p.lam - p.cp) - 2.0 / plus, 2.0 * (p.lam + p.cp) - 2.0 / minus
@@ -348,8 +332,6 @@ def symmetric_exponents(p):
 
 def symmetric_embed(p):
     """The two-mode GaussianState carrying the symmetric family parameters."""
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
     cm = np.array(
         [
             [p.lam, 0.0, p.cx, 0.0],

@@ -14,14 +14,15 @@ window, so its cost scales with those pairs rather than with measured pairs.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matkit
-from .errors import DegenerateParams, InvalidInput
-from .gaussian import physical_symmetric, symmetric_exponents
+from .errors import InvalidInput
+from .gaussian import symmetric_exponents
 
 _SIFT_CHUNK = 1 << 18
 _MAX_CHUNKS = 1 << matkit.Rng.CHILD_BITS  # one substream per chunk
@@ -83,6 +84,19 @@ def pair_covariance(p):
     return 0.5 * np.array([[p.lam, p.cx], [p.cx, p.lam]])
 
 
+def exponent(k, x0):
+    """``k * x0^2`` for an exponent ``k`` of
+    :func:`~gausskey.gaussian.symmetric_exponents`: overflow to ``inf`` is
+    meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
+    included.  Overlaps of normalized states never exceed 1, so a negative
+    ``k`` is rounding at the pure boundary or the ``-1e-9`` physicality band;
+    taken as is it would blow up at huge thresholds."""
+    k = np.asarray(k, dtype=float)
+    with np.errstate(over="ignore"):
+        x2 = np.square(x0, dtype=float)
+        return np.multiply(k, x2, out=np.zeros(np.broadcast(k, x2).shape), where=k > 0)
+
+
 def error_from_exponent(a):
     """``1 / (1 + exp(a))`` for an exponent ``a >= 0``, evaluated as
     ``exp(-a) / (1 + exp(-a))`` so that no ``a`` up to ``inf`` overflows;
@@ -95,11 +109,7 @@ def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
     with ``r`` from :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0``
     gives 1/2 at every threshold, ``x0 = inf`` included."""
-    if p.lam == p.cx:
-        raise DegenerateParams("lam == cx puts the error formula on a pole")
-    r = symmetric_exponents(p)[0]
-    x2 = float(x0) * float(x0)
-    return float(error_from_exponent(r * x2 if r else 0.0))
+    return float(error_from_exponent(exponent(symmetric_exponents(p)[0], float(x0))))
 
 
 def ad_error(eps, n):
@@ -180,10 +190,9 @@ def simulate_sifting(p, cfg, rng, workers=1):
     """Monte-Carlo the measurement + postselection step.
 
     Sampling is chunked, one child stream of ``rng`` per fixed-size chunk, so
-    the output depends only on ``rng`` and ``cfg``, never on ``workers``.
+    the output depends only on ``rng`` and ``cfg``, never on ``workers``.  At
+    most one thread per CPU and per chunk is started, whatever ``workers`` asks.
     """
-    if not physical_symmetric(p):
-        raise InvalidInput(f"unphysical parameters {p}")
     n_chunks = -(-cfg.n_pairs // _SIFT_CHUNK)
     if n_chunks > _MAX_CHUNKS:
         raise InvalidInput(f"at most {_MAX_CHUNKS * _SIFT_CHUNK} pairs per run")
@@ -191,7 +200,7 @@ def simulate_sifting(p, cfg, rng, workers=1):
     def run(i):
         return _sift_chunk(p, cfg, rng.substream(i), min(_SIFT_CHUNK, cfg.n_pairs - i * _SIFT_CHUNK))
 
-    workers = min(workers, n_chunks)
+    workers = min(workers, n_chunks, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -38,7 +38,7 @@ from .gaussian import (
     symmetric_embed,
     symmetric_exponents,
 )
-from .protocol import error_from_exponent, error_probability
+from .protocol import error_from_exponent, error_probability, exponent
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -80,7 +80,6 @@ class Effective2x2:
 
 @dataclass(frozen=True)
 class SecurityReport:
-    physical: bool
     nppt: bool
     individual_secure: bool
     coherent_ad_secure: bool
@@ -99,19 +98,6 @@ def _check_x0(x0):
     x0 = np.asarray(x0)
     if not (np.isfinite(x0) & (x0 != 0)).all():
         raise InvalidInput("x0 must be nonzero")
-
-
-def _exponent(k, x0):
-    """``k * x0^2`` for an exponent ``k`` of
-    :func:`~gausskey.gaussian.symmetric_exponents`: overflow to ``inf`` is
-    meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
-    included.  Overlaps of normalized states never exceed 1, so a negative
-    ``k`` is rounding at the pure boundary or the ``-1e-9`` physicality band;
-    taken as is it would blow up at huge thresholds."""
-    k = np.asarray(k, dtype=float)
-    with np.errstate(over="ignore"):
-        x2 = np.square(x0, dtype=float)
-        return np.multiply(k, x2, out=np.zeros(np.broadcast(k, x2).shape), where=k > 0)
 
 
 def _state_exponents(p):
@@ -153,7 +139,7 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(-_exponent(symmetric_exponents(p)[1], x0)))
+    return float(np.exp(-exponent(symmetric_exponents(p)[1], x0)))
 
 
 def _secure(p, attack):
@@ -203,8 +189,8 @@ def effective_state(p, x0):
     q[0, 1] = q[1, 0] = q_same
     q[2, 3] = q[3, 2] = q_diff
     np.fill_diagonal(q, 0.0)
-    gram = np.exp(-_exponent(q, x0))
-    eps = float(error_from_exponent(_exponent(r, x0)))
+    gram = np.exp(-exponent(q, x0))
+    eps = float(error_from_exponent(exponent(r, x0)))
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
@@ -229,7 +215,7 @@ def rate_lower_bound(p, x0):
     # k x0^2 for k = r, q_same, q_diff, 2 q_mix in one call, one row per k;
     # g_mix^2 = exp(-k_pair)
     k = _state_exponents(p) * np.array([1.0, 1.0, 1.0, 2.0])
-    k_r, k_same, k_diff, k_pair = _exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
+    k_r, k_same, k_diff, k_pair = exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
     eps = error_from_exponent(k_r)
     a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
     big = a2 * (1.0 + np.exp(-k_same))
@@ -343,7 +329,6 @@ def build_report(p, x0_max=5.0):
     individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
     best_x0, rate = optimize_rate(p, x0_max)
     return SecurityReport(
-        physical=True,
         nppt=npt_symmetric(p),
         individual_secure=individual,
         coherent_ad_secure=coherent_ad,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gausskey import gaussian
+from gausskey.errors import InvalidInput
 
 
 def random_physical_cm(rng, n, margin=None):
@@ -21,8 +22,9 @@ def random_symmetric_params(rng, lam_range=(1.0, 4.0), exclusion=0.0):
         lam = rng.uniform(*lam_range)
         cx = rng.uniform(0.0, lam)
         cp = rng.uniform(0.0, cx)
-        p = gaussian.SymmetricStateParams(lam, cx, cp)
-        if not gaussian.physical_symmetric(p):
+        try:
+            p = gaussian.SymmetricStateParams(lam, cx, cp)
+        except InvalidInput:
             continue
         if exclusion and abs(lam**2 + cx * cp - 1.0 - lam * (cx + cp)) < exclusion:
             continue

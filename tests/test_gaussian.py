@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_physical_cm, random_symmetric_params
 from gausskey import gaussian as g
@@ -7,30 +8,49 @@ from gausskey import matkit
 from gausskey.errors import IllConditioned, InvalidInput
 
 
+def kron(n):
+    """The n-mode symplectic form, built independently of the package."""
+    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def raw_symmetric_cm(lam, cx, cp):
+    """The family's 4x4 CM written out, with no physicality check."""
+    return np.array(
+        [[lam, 0.0, cx, 0.0], [0.0, lam, 0.0, -cp], [cx, 0.0, lam, 0.0], [0.0, -cp, 0.0, lam]]
+    )
+
+
+def builds(lam, cx, cp):
+    """Whether ``SymmetricStateParams`` accepts the triple: its closed-form
+    physicality test."""
+    try:
+        g.SymmetricStateParams(lam, cx, cp)
+    except InvalidInput:
+        return False
+    return True
+
+
 class TestSymplecticForm:
     def test_single_mode(self):
-        assert np.array_equal(g.symplectic_form(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.array_equal(g._j(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_two_modes_block_diagonal(self):
-        j2 = g.symplectic_form(2)
+        j2 = g._j(2)
         j = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(j2[:2, :2], j)
         assert np.array_equal(j2[2:, 2:], j)
         assert np.array_equal(j2[:2, 2:], np.zeros((2, 2)))
 
     def test_algebraic_identities(self):
-        j = g.symplectic_form(3)
+        j = g._j(3)
         assert np.array_equal(j.T, -j)
         assert np.array_equal(j @ j, -np.eye(6))
 
-    def test_rejects_zero_modes(self):
-        with pytest.raises(InvalidInput):
-            g.symplectic_form(0)
-
-    def test_returned_copy_is_writable(self):
-        j = g.symplectic_form(1)
-        j[0, 0] = 5.0
-        assert g.symplectic_form(1)[0, 0] == 0.0
+    def test_cached_form_is_read_only(self):
+        # one array per mode count is shared by every caller
+        with pytest.raises(ValueError):
+            g._j(1)[0, 0] = 5.0
+        assert g._j(1)[0, 0] == 0.0
 
 
 class TestPhysicality:
@@ -41,8 +61,8 @@ class TestPhysicality:
         assert not g.is_physical(np.diag([0.5, 0.5]))
 
     def test_matches_closed_form_on_family(self):
-        p = g.SymmetricStateParams(1.5, 1.0, 1.0)
-        assert g.is_physical(g.symmetric_embed(p).cm) == g.physical_symmetric(p)
+        for triple in ((1.5, 1.0, 1.0), (1.5, 1.3, 1.0), (1.0, 1.0, 0.0)):
+            assert g.is_physical(raw_symmetric_cm(*triple)) == builds(*triple), triple
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(InvalidInput):
@@ -66,8 +86,7 @@ class TestPartialTranspose:
     def test_entangled_family_momentum_flip_detects(self):
         cm = g.symmetric_embed(g.SymmetricStateParams(1.5, 1.0, 1.0)).cm
         pt = g.partial_transpose(cm, [0])
-        j = g.symplectic_form(2)
-        assert np.linalg.eigvalsh(pt + 1j * j).min() < 0
+        assert np.linalg.eigvalsh(pt + 1j * kron(2)).min() < 0
 
     def test_rejects_bad_mode(self):
         with pytest.raises(InvalidInput):
@@ -92,8 +111,25 @@ class TestNppt:
         for _ in range(10_000):
             p = random_symmetric_params(rng, exclusion=1e-9)
             cm = g.symmetric_embed(p).cm
-            assert g.is_physical(cm) == g.physical_symmetric(p)
+            # built, so the closed form called it physical
+            assert g.is_physical(cm)
             assert g.is_nppt(cm, [0]) == g.npt_symmetric(p)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(-1.5, 1.5))
+    def test_closed_forms_match_matrix_tests_across_the_boundary(self, cx, cp_share, offset):
+        # lam sits offset away from the physical boundary (lam - cx)(lam + cp) = 1,
+        # on either side; lam < cx is unphysical too (the X block is indefinite)
+        cp = cx * cp_share
+        lam = max(0.5 * (cx - cp + np.sqrt((cx + cp) ** 2 + 4.0)) + offset, 0.0)
+        cm = raw_symmetric_cm(lam, cx, cp)
+        if abs((lam - cx) * (lam + cp) - 1.0) > 1e-6:
+            assert builds(lam, cx, cp) == g.is_physical(cm), (lam, cx, cp)
+        if builds(lam, cx, cp):
+            p = g.SymmetricStateParams(lam, cx, cp)
+            assert np.array_equal(g.symmetric_embed(p).cm, cm)
+            if abs((lam - cx) * (lam - cp) - 1.0) > 1e-6:
+                assert g.is_nppt(cm, [0]) == g.npt_symmetric(p), (lam, cx, cp)
 
 
 class TestSymplecticSpectrum:
@@ -119,7 +155,7 @@ def assert_williamson(cm, tol=1e-12):
     """The gauge-free Williamson postconditions: ``s`` symplectic,
     ``s.T cm s = d`` diagonal with the ascending spectrum repeated pairwise."""
     wd = g.williamson(cm)
-    j = g.symplectic_form(cm.shape[0] // 2)
+    j = kron(cm.shape[0] // 2)
     assert np.abs(wd.s.T @ j @ wd.s - j).max() < tol
     assert np.abs(wd.s.T @ cm @ wd.s - wd.d).max() < tol
     assert np.abs(wd.d - np.diag(np.repeat(wd.spectrum, 2))).max() == 0.0
@@ -332,11 +368,11 @@ class TestSymmetricFamily:
             g.symmetric_embed(g.SymmetricStateParams(1.5, 1.3, 1.0))
 
     def test_closed_form_predicates(self):
-        p = g.SymmetricStateParams(1.5, 1.0, 1.0)
-        assert g.physical_symmetric(p) and g.npt_symmetric(p)
-        for lam in (1.0, 1.7, 3.0):
-            q = g.SymmetricStateParams(lam, 0.0, 0.0)
-            assert g.physical_symmetric(q) and not g.npt_symmetric(q)
+        for triple, entangled in (((1.5, 1.0, 1.0), True), ((1.0, 0.0, 0.0), False),
+                                  ((1.7, 0.0, 0.0), False), ((3.0, 0.0, 0.0), False)):
+            assert builds(*triple), triple
+            assert g.npt_symmetric(g.SymmetricStateParams(*triple)) == entangled, triple
+        assert not builds(1.5, 1.3, 1.0) and not builds(0.5, 0.0, 0.0)
 
     def test_ordering_violations_rejected(self):
         with pytest.raises(InvalidInput):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gausskey import matkit
 from gausskey import protocol as pr
-from gausskey.errors import DegenerateParams, InvalidInput
+from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams
 
 P111 = SymmetricStateParams(1.5, 1.0, 1.0)
@@ -54,8 +55,10 @@ class TestErrorProbability:
         assert np.abs(pr.error_from_exponent(a) - 1.0 / (1.0 + np.exp(a))).max() < 1e-16
 
     def test_degenerate_pole(self):
-        with pytest.raises(DegenerateParams):
-            pr.error_probability(SymmetricStateParams(1.0, 1.0, 0.0), 1.0)
+        # lam == cx zeroes r's denominator; (lam - cx)(lam + cp) = 0 < 1, so
+        # such a state is unphysical and cannot be built
+        with pytest.raises(InvalidInput, match="unphysical parameters"):
+            SymmetricStateParams(1.0, 1.0, 0.0)
 
     def test_matches_density_ratio(self):
         # discordant over concordant density of the measured pair pins
@@ -151,6 +154,34 @@ class TestSimulateSifting:
         a = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=1)
         b = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=4)
         assert np.array_equal(a.alice, b.alice) and np.array_equal(a.bob, b.bob)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records its size and runs the chunks serially, so no
+        # thread is started whatever is asked for
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        cfg = pr.ProtocolConfig(x0=1.0, window=0.01, n_pairs=10 * pr._SIFT_CHUNK, block_n=2, seed=9)
+        ref = pr.simulate_sifting(P111, cfg, matkit.Rng(9))
+        for cpus, want in ((3, [3]), (64, [10]), (None, [])):
+            sizes.clear()
+            monkeypatch.setattr(pr.os, "cpu_count", lambda: cpus)
+            got = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=10**6)
+            assert sizes == want, cpus
+            assert np.array_equal(got.alice, ref.alice) and np.array_equal(got.bob, ref.bob)
 
 
 class TestSiftingSampler:

@@ -397,7 +397,7 @@ class TestAttackHierarchy:
 class TestBuildReport:
     def test_reference_point(self):
         rep = sec.build_report(P111)
-        assert rep.physical and rep.nppt
+        assert rep.nppt
         assert rep.individual_secure and rep.coherent_ad_secure
         assert rep.general_secure == (rep.rate_lb > 0)
         eps = error_probability(P111, rep.best_x0)
