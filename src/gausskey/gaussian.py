@@ -273,9 +273,11 @@ class SymmetricStateParams:
 
     Only physical states can be built.  The closed-form test
     ``lam^2 - cx*cp - 1 >= lam*(cx - cp)`` is evaluated in the factored form
-    ``(lam - cx)(lam + cp) >= 1`` so that huge parameters cannot overflow.  It
-    allows the same -1e-9 band as the matrix-level :func:`is_physical`, so
-    boundary states built from rounded square roots stay inside the family.
+    ``(lam - cx)(lam + cp) >= 1``, which needs no squares; ``lam + cp`` can
+    still overflow, and at ``lam == cx`` that makes the product NaN, so only
+    a product known to pass is accepted.  It allows the same -1e-9 band as
+    the matrix-level :func:`is_physical`, so boundary states built from
+    rounded square roots stay inside the family.
     """
 
     lam: float
@@ -288,7 +290,7 @@ class SymmetricStateParams:
             raise InvalidInput("parameters must be finite")
         if self.lam < 0 or not self.cx >= self.cp >= 0:
             raise InvalidInput("need lam >= 0 and cx >= cp >= 0")
-        if (self.lam - self.cx) * (self.lam + self.cp) - 1.0 < -_PHYS_TOL:
+        if not ((self.lam - self.cx) * (self.lam + self.cp) - 1.0 >= -_PHYS_TOL):
             raise InvalidInput(f"unphysical parameters {self}")
 
 

@@ -84,7 +84,7 @@ def pair_covariance(p):
     return 0.5 * np.array([[p.lam, p.cx], [p.cx, p.lam]])
 
 
-def exponent(k, x0):
+def _exponent(k, x0):
     """``k * x0^2`` for an exponent ``k`` of
     :func:`~gausskey.gaussian.symmetric_exponents`: overflow to ``inf`` is
     meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
@@ -109,7 +109,7 @@ def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
     with ``r`` from :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0``
     gives 1/2 at every threshold, ``x0 = inf`` included."""
-    return float(error_from_exponent(exponent(symmetric_exponents(p)[0], float(x0))))
+    return float(error_from_exponent(_exponent(symmetric_exponents(p)[0], float(x0))))
 
 
 def ad_error(eps, n):

@@ -38,7 +38,7 @@ from .gaussian import (
     symmetric_embed,
     symmetric_exponents,
 )
-from .protocol import error_from_exponent, error_probability, exponent
+from .protocol import _exponent, error_from_exponent, error_probability
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -139,7 +139,7 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(-exponent(symmetric_exponents(p)[1], x0)))
+    return float(np.exp(-_exponent(symmetric_exponents(p)[1], x0)))
 
 
 def _secure(p, attack):
@@ -189,8 +189,8 @@ def effective_state(p, x0):
     q[0, 1] = q[1, 0] = q_same
     q[2, 3] = q[3, 2] = q_diff
     np.fill_diagonal(q, 0.0)
-    gram = np.exp(-exponent(q, x0))
-    eps = float(error_from_exponent(exponent(r, x0)))
+    gram = np.exp(-_exponent(q, x0))
+    eps = float(error_from_exponent(_exponent(r, x0)))
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
@@ -215,7 +215,7 @@ def rate_lower_bound(p, x0):
     # k x0^2 for k = r, q_same, q_diff, 2 q_mix in one call, one row per k;
     # g_mix^2 = exp(-k_pair)
     k = _state_exponents(p) * np.array([1.0, 1.0, 1.0, 2.0])
-    k_r, k_same, k_diff, k_pair = exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
+    k_r, k_same, k_diff, k_pair = _exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
     eps = error_from_exponent(k_r)
     a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
     big = a2 * (1.0 + np.exp(-k_same))

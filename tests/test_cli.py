@@ -209,6 +209,16 @@ class TestDomainErrors:
             assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
             assert not unphysical or "unphysical" in err, (argv, err)
 
+    def test_overflowing_pole_exits_2(self, capsys):
+        # lam == cx with lam + cp overflowing once reached symmetric_exponents'
+        # division by lam - cx
+        state = ("--lambda", "1e308", "--cx", "1e308", "--cp", "1e308")
+        for argv in (("analyze",) + state, ("simulate",) + state + ("--x0", "1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err == ("domain error: unphysical parameters "
+                           "SymmetricStateParams(lam=1e+308, cx=1e+308, cp=1e+308)\n"), argv
+
     def test_subnormal_x0_max_names_it(self, capsys):
         # 1e-6 * x0_max underflows to 0, which once blamed a threshold never given
         code, out, err = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1",

@@ -367,6 +367,12 @@ class TestSymmetricFamily:
         with pytest.raises(InvalidInput):
             g.symmetric_embed(g.SymmetricStateParams(1.5, 1.3, 1.0))
 
+    def test_pole_with_overflowing_sum_rejected(self):
+        # lam == cx with lam + cp = inf makes the factored test 0 * inf = NaN
+        with pytest.raises(InvalidInput, match="unphysical parameters"):
+            g.SymmetricStateParams(1e308, 1e308, 1e308)
+        assert builds(1e308, 1e307, 1e307)
+
     def test_closed_form_predicates(self):
         for triple, entangled in (((1.5, 1.0, 1.0), True), ((1.0, 0.0, 0.0), False),
                                   ((1.7, 0.0, 0.0), False), ((3.0, 0.0, 0.0), False)):
