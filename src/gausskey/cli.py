@@ -155,7 +155,7 @@ def build_parser():
 
     sp = sub.add_parser("oracle-check", help="grid-oracle agreement suite")
     sp.add_argument("--level", choices=("quick", "full"), default="quick",
-                    help="quick skips the 4-mode grid (default %(default)s)")
+                    help="quick skips the 4-mode sector checks (default %(default)s)")
     _add_common(sp)
     return parser
 
@@ -304,9 +304,8 @@ def _oracle_checks(level):
     params = SymmetricStateParams(1.5, 1.0, 1.0)
     pur4 = purify(symmetric_embed(params))
     big = oracle.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)  # spacing 1/3 keeps x0=1 on-grid
-    psi4 = oracle.wavefunction_from_pure(pur4.cm, pur4.dv, big)
-    e_pp = oracle.grid_condition_on_x(psi4, [0, 1], [1.0, 1.0])
-    e_mm = oracle.grid_condition_on_x(psi4, [0, 1], [-1.0, -1.0])
+    weights, states = oracle.grid_sector_states(pur4.cm, pur4.dv, big, 1.0)
+    e_pp, e_mm = states[:2]
     got4 = abs(oracle.grid_overlap(e_pp, e_mm)) ** 2
     want4 = abs(security.eve_ensemble(params, 1.0).gram[0, 1]) ** 2
     yield ("4-mode adversary overlap", got4, want4, 1e-3)
@@ -316,7 +315,7 @@ def _oracle_checks(level):
     yield ("4-mode conditional CM", float(np.abs(cm_grid - cond4.state.cm).max()), 0.0, 2e-3)
     yield ("4-mode conditional DV", float(np.abs(dv_grid - cond4.state.dv).max()), 0.0, 2e-3)
 
-    spec = oracle.grid_reduced_spectrum(psi4, 1.0)
+    spec = oracle.grid_reduced_spectrum(weights, states)
     eff = security.effective_state(params, 1.0)
     w, _ = matkit.eigh(eff.rho)
     yield ("reduced-state spectrum", float(np.abs(np.sort(spec) - np.sort(w.real)).max()), 0.0, 1e-3)

@@ -286,7 +286,7 @@ class SymmetricStateParams:
 
     def __post_init__(self):
         vals = (self.lam, self.cx, self.cp)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise InvalidInput("parameters must be finite")
         if self.lam < 0 or not self.cx >= self.cp >= 0:
             raise InvalidInput("need lam >= 0 and cx >= cp >= 0")

@@ -16,6 +16,7 @@ with ``U = A^{-1}`` and ``V = -A^{-1} B``; the vacuum maps to ``U = I``,
 ``V = 0``, ``psi = pi^{-1/4} exp(-x^2/2)``.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ class GridAxis:
     points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise InvalidInput("need finite lo < hi")
         if self.points < 3 or self.points % 2 == 0:
             raise InvalidInput("points per axis must be odd and at least 3")
@@ -88,18 +89,15 @@ def _norm2(amp, axis):
     return float(np.vdot(amp, amp).real) * axis.spacing**amp.ndim
 
 
-def _sparse_coords(axis, n):
-    nodes = axis.nodes
-    return [nodes.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k in range(n)]
+def _sparse(vectors):
+    """One node vector per mode, shaped to broadcast over their tensor grid."""
+    n = len(vectors)
+    return [v.reshape((1,) * k + (-1,) + (1,) * (n - 1 - k)) for k, v in enumerate(vectors)]
 
 
-def wavefunction_from_pure(cm, dv, axis):
-    """Tabulate the wavefunction of a pure Gaussian state on the grid.
-
-    Raises ``InvalidInput`` for mixed states and ``GridTooSmall`` when the
-    grid covers less than 6 standard deviations of some position marginal
-    around its mean.
-    """
+def _pure_form(cm, dv, axis):
+    """Check a pure state against the grid as :func:`wavefunction_from_pure`
+    does and return ``(axis, m, xbar, pbar)``, the terms of its exponent."""
     cm = np.asarray(cm, dtype=float)
     dv = np.asarray(dv, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
@@ -129,29 +127,49 @@ def wavefunction_from_pure(cm, dv, axis):
     u = np.linalg.inv(a)
     v = -u @ b
     v = 0.5 * (v + v.T)
-    m = u + 1j * v
+    return axis, u + 1j * v, xbar, pbar
 
-    # The exponent -1/2 y^T M y + i pbar . x, y = x - xbar, split off mode 0:
-    # `rest` holds the terms of modes 1..n-1 and `cross` the coefficient of
-    # y0 in the mode-0 cross terms, both on one slab of axis 0, so only the
-    # output array is ever full size.
-    sub = _sparse_coords(axis, n - 1)
+
+def _exponent(m, xbar, pbar, nodes):
+    """The exponent ``-1/2 y^T M y + i pbar . x``, ``y = x - xbar``, over the
+    tensor grid of ``nodes``, one node vector per mode; a vector of length 1
+    pins its mode to that node.
+
+    Mode 0 is split off: ``rest`` holds the terms of modes 1..n-1 and
+    ``cross`` the coefficient of ``y0`` in the mode-0 cross terms, both on one
+    slab of axis 0, so only the output array is ever full size.
+    """
+    n = len(nodes)
+    sub = _sparse(nodes[1:])
     ys = [c - xb for c, xb in zip(sub, xbar[1:])]
-    rest = np.zeros((axis.points,) * (n - 1), dtype=complex)
+    shape = tuple(len(v) for v in nodes)
+    rest = np.zeros(shape[1:], dtype=complex)
     cross = np.zeros_like(rest)
     for i in range(1, n):
         rest += 1j * pbar[i] * sub[i - 1]
         cross -= 0.5 * (m[0, i] + m[i, 0]) * ys[i - 1]
         for k in range(1, n):
             rest -= 0.5 * m[i, k] * (ys[i - 1] * ys[k - 1])
-    y0 = axis.nodes - xbar[0]
-    head = -0.5 * m[0, 0] * y0**2 + 1j * pbar[0] * axis.nodes
+    y0 = nodes[0] - xbar[0]
+    head = -0.5 * m[0, 0] * y0**2 + 1j * pbar[0] * nodes[0]
 
-    psi = np.empty((axis.points,) * n, dtype=complex)
-    for j in range(axis.points):
-        out = psi[j, ...]  # a view, also when it is 0-dimensional
-        np.add(rest, y0[j] * cross + head[j], out=out)
-        np.exp(out, out=out)
+    out = np.empty(shape, dtype=complex)
+    for j in range(shape[0]):
+        # a view, also when it is 0-dimensional
+        np.add(rest, y0[j] * cross + head[j], out=out[j, ...])
+    return out
+
+
+def wavefunction_from_pure(cm, dv, axis):
+    """Tabulate the wavefunction of a pure Gaussian state on the grid.
+
+    Raises ``InvalidInput`` for mixed states and ``GridTooSmall`` when the
+    grid covers less than 6 standard deviations of some position marginal
+    around its mean.
+    """
+    axis, m, xbar, pbar = _pure_form(cm, dv, axis)
+    psi = _exponent(m, xbar, pbar, [axis.nodes] * len(xbar))
+    np.exp(psi, out=psi)
     psi /= np.sqrt(_norm2(psi, axis))
     return GridWavefunction(axis, psi)
 
@@ -217,7 +235,7 @@ def grid_moments(psi):
     dxn = psi.axis.spacing**n
     amp = psi.amplitudes
     dens = np.abs(amp) ** 2
-    coords = _sparse_coords(psi.axis, n)
+    coords = _sparse([psi.axis.nodes] * n)
 
     xmean = np.array([float(np.sum(dens * coords[i]) * dxn) for i in range(n)])
     pamps = [_momentum_apply(amp, psi.axis, i) for i in range(n)]
@@ -244,37 +262,54 @@ def grid_moments(psi):
     return cm, dv
 
 
-def grid_reduced_spectrum(psi, x0):
-    """Eigenvalues of the effective postselected two-qubit state, from the
-    grid alone.
+def grid_sector_states(cm, dv, axis, x0):
+    """The adversary's conditional states after postselection at the four
+    sign combinations of ``(+-x0, +-x0)``, tabulated straight from the pure
+    state, without the full grid.
 
-    ``psi`` must be the 4-mode purification with the honest modes first.
-    Zero-width postselection slices the amplitudes at the four sign
-    combinations of ``(+-x0, +-x0)``; squared slice norms give the sector
-    probabilities, normalized slices the conditional adversary states, and
-    ``rho[s, t] = c_s c_t <e_t|e_s>`` the reduced state.  Ascending
-    eigenvalues are returned.
+    ``cm, dv`` is a 3- or 4-mode purification with the honest modes first.
+    Each sector is the 2D slice of the exponent with modes 0 and 1 pinned to
+    their snapped nodes, normalized by its own norm.  Returns ``(weights,
+    states)`` in the sector order ``++, --, +-, -+``: the sector
+    probabilities given postselection, as ratios of squared slice norms, and
+    the normalized conditional wavefunctions.  The global normalization
+    cancels from both.  Raises ``OutcomeUnlikely`` when a slice has no
+    support on the grid: its squared norm is below 1e-300 on the scale where
+    the amplitude peaks at 1.
     """
-    if psi.n_modes != 4:
-        raise InvalidInput("need the 4-mode purification")
     if not x0 > 0:
         raise InvalidInput("x0 must be positive")
-    signs = ((x0, x0), (-x0, -x0), (x0, -x0), (-x0, x0))
-    dx = psi.axis.spacing
-    weights = []
+    axis, m, xbar, pbar = _pure_form(cm, dv, axis)
+    if len(xbar) < 3:
+        raise InvalidInput("need a purification with at least one adversary mode")
+    nodes = axis.nodes
+    pinned = {x: nodes[[_snap(axis, x)]] for x in (x0, -x0)}
+    norms2 = []
     slices = []
-    for sa, sb in signs:
-        ia, ib = _snap(psi.axis, sa), _snap(psi.axis, sb)
-        slab = psi.amplitudes[ia, ib]
-        w = _norm2(slab, psi.axis)
+    for sa, sb in ((x0, x0), (-x0, -x0), (x0, -x0), (-x0, x0)):
+        slab = _exponent(m, xbar, pbar, [pinned[sa], pinned[sb]] + [nodes] * (len(xbar) - 2))
+        slab = np.exp(slab[0, 0], out=slab[0, 0])
+        w = _norm2(slab, axis)
         if w < 1e-300:
             raise OutcomeUnlikely(f"sector ({sa}, {sb}) has no support on the grid")
-        weights.append(w)
-        slices.append(slab / np.sqrt(w))
-    c = np.sqrt(np.array(weights) / sum(weights))
+        norms2.append(w)
+        slices.append(GridWavefunction(axis, slab / np.sqrt(w)))
+    return np.array(norms2) / sum(norms2), slices
+
+
+def grid_reduced_spectrum(weights, states):
+    """Eigenvalues of the effective postselected two-qubit state, from the
+    sector weights and conditional states of :func:`grid_sector_states`.
+
+    ``rho[s, t] = c_s c_t <e_t|e_s>`` with ``c_s = sqrt(weights[s])``.
+    Ascending eigenvalues are returned.
+    """
+    if len(weights) != 4 or len(states) != 4:
+        raise InvalidInput("need the four sectors of grid_sector_states")
+    c = np.sqrt(np.asarray(weights, dtype=float))
     rho = np.empty((4, 4), dtype=complex)
     for s in range(4):
         for t in range(4):
-            rho[s, t] = c[s] * c[t] * np.vdot(slices[t], slices[s]) * dx**2
+            rho[s, t] = c[s] * c[t] * grid_overlap(states[t], states[s])
     w, _ = matkit.eigh(rho)
     return w

@@ -43,9 +43,9 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x0) and self.x0 > 0):
+        if not (math.isfinite(self.x0) and self.x0 > 0):
             raise InvalidInput("x0 must be positive")
-        if not (np.isfinite(self.window) and self.window > 0):
+        if not (math.isfinite(self.window) and self.window > 0):
             raise InvalidInput("window must be positive")
         if self.n_pairs < 1 or self.block_n < 1:
             raise InvalidInput("counts must be at least 1")

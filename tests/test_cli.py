@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,8 +355,37 @@ class TestOracleCheckCommand:
         code, out, _ = run(capsys, "oracle-check", "--level", "full")
         lines = out.splitlines()
         assert code == 0
-        assert len(lines) == 12 and all(line.startswith("ok   ") for line in lines[:-1])
+        assert all(line.startswith("ok   ") for line in lines[:-1])
+        assert [line[5:].split(":")[0] for line in lines[:-1]] == [
+            "vacuum wavefunction",
+            "displaced overlap magnitude",
+            "overlap phase convention",
+            "squeezed X variance",
+            "thermal-purification conditioning",
+            "grid refinement stability",
+            "4-mode adversary overlap",
+            "4-mode conditional CM",
+            "4-mode conditional DV",
+            "reduced-state spectrum",
+            "reduced-state entropy",
+        ]
         assert lines[-1] == "PASS"
+
+    def test_full_traced_peak(self, capsys):
+        # tracemalloc sees numpy's buffers, so the bound holds on any machine;
+        # the full 41^4 grid alone would be 43 MiB
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = cli.main(["oracle-check", "--level", "full"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().out.endswith("PASS\n")
+        assert peak <= 4 * 2**20
 
 
 class TestConfigPrecedence:

@@ -388,6 +388,14 @@ class TestSymmetricFamily:
         with pytest.raises(InvalidInput):
             g.SymmetricStateParams(1.0, 1.0, -0.1)
 
+    def test_finiteness_check_takes_numpy_scalars_and_ints(self):
+        for triple in ((np.float64(1.5), np.float32(1.0), np.int64(1)), (2, 1, 0)):
+            assert g.SymmetricStateParams(*triple).lam == triple[0]
+        for bad in (np.nan, np.inf, -np.inf, np.float64("nan"), np.float32("inf")):
+            for triple in ((bad, 1.0, 1.0), (1.5, bad, 1.0), (1.5, 1.0, bad)):
+                with pytest.raises(InvalidInput, match="finite"):
+                    g.SymmetricStateParams(*triple)
+
 
 class TestGaussianState:
     def test_rejects_asymmetric_cm(self):

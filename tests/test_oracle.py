@@ -34,6 +34,33 @@ def dense_wavefunction(cm, dv, axis):
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2) * axis.spacing**n)
 
 
+SIGNS = ((1, 1), (-1, -1), (1, -1), (-1, 1))  # the sector order of grid_sector_states
+
+
+def full_build_sectors(cm, dv, axis, x0):
+    """Reference for :func:`o.grid_sector_states`: the route it replaced, which
+    builds the whole grid, slices it at the nodes nearest each sector and
+    normalizes each slice.  Returns ``(weights, slices)``."""
+    psi = o.wavefunction_from_pure(cm, dv, axis)
+    dxk = axis.spacing ** (psi.n_modes - 2)
+    norms2, slices = [], []
+    for sa, sb in SIGNS:
+        ia, ib = (int(np.abs(axis.nodes - s * x0).argmin()) for s in (sa, sb))
+        slab = psi.amplitudes[ia, ib]
+        norms2.append(float(np.vdot(slab, slab).real) * dxk)
+        slices.append(slab / np.sqrt(norms2[-1]))
+    return np.array(norms2) / sum(norms2), slices
+
+
+def full_build_spectrum(weights, slices, axis):
+    """Reference reduced-state spectrum, ``rho[s, t] = c_s c_t <e_t|e_s>``."""
+    c = np.sqrt(weights)
+    dxk = axis.spacing ** slices[0].ndim
+    rho = np.array([[c[s] * c[t] * np.vdot(slices[t], slices[s]) * dxk for t in range(4)]
+                    for s in range(4)])
+    return np.linalg.eigvalsh(rho)
+
+
 def covering_axis(cm, dv, points):
     """A grid that holds 6.5 sigma of every position marginal."""
     half = max(abs(dv[2 * i]) + 6.5 * np.sqrt(cm[2 * i, 2 * i] / 2.0) for i in range(len(dv) // 2))
@@ -71,6 +98,13 @@ class TestGridAxis:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInput):
             o.GridAxis(-7.0, 8.0, 201)
+
+    def test_finiteness_check_takes_numpy_scalars_and_ints(self):
+        assert o.GridAxis(np.float32(-2.0), np.int64(2), 5).spacing == 1.0
+        assert o.GridAxis(-3, 3, 7).spacing == 1.0
+        for lo, hi in ((np.nan, 1.0), (-1.0, np.nan), (-np.inf, np.inf), (-np.float32("inf"), 1.0)):
+            with pytest.raises(InvalidInput, match="finite"):
+                o.GridAxis(lo, hi, 5)
 
     def test_contains_zero(self):
         assert 0.0 in o.GridAxis(-6.0, 6.0, 41).nodes
@@ -253,34 +287,103 @@ class TestGridConditionOnX:
             o.grid_condition_on_x(w2, [0], [8.0])
 
 
+@pytest.fixture(scope="module")
+def sectors4(purified_symmetric_111):
+    _, pur = purified_symmetric_111
+    return o.grid_sector_states(pur.cm, pur.dv, o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41), 1.0)
+
+
+class TestGridSectorStates:
+    """The sector slices tabulated directly against the full-build route."""
+
+    def test_matches_full_build(self, sectors4, purified_symmetric_111):
+        _, pur = purified_symmetric_111
+        weights, states = sectors4
+        want_w, want = full_build_sectors(pur.cm, pur.dv, states[0].axis, 1.0)
+        assert np.abs(weights - want_w).max() <= 1e-12
+        for got, ref in zip(states, want):
+            assert got.amplitudes.shape == (41, 41)
+            assert np.abs(got.amplitudes - ref).max() <= 1e-12
+        assert abs(weights.sum() - 1.0) <= 1e-12
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(st.data())
+    def test_random_pure_states(self, data):
+        n = data.draw(st.integers(3, 4), label="modes")
+        nu = data.draw(st.none() | st.floats(1.0, 2.0), label="nu")
+        squeeze = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n), label="r")
+        parts = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n * n, max_size=2 * n * n))
+        dv = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n), label="dv")
+        z = np.reshape(parts[: n * n], (n, n)) + 1j * np.reshape(parts[n * n :], (n, n))
+        cm, dv = random_pure_state(squeeze, nu, z, dv)
+        points = 15 if n == 4 else 21
+        axis = covering_axis(cm, dv, points)
+        x0 = axis.nodes[points // 2 + data.draw(st.integers(1, points // 4), label="x0 node")]
+        weights, states = o.grid_sector_states(cm, dv, axis, x0)
+        want_w, want = full_build_sectors(cm, dv, axis, x0)
+        assert np.abs(weights - want_w).max() <= 1e-12
+        for got, ref in zip(states, want):
+            assert got.amplitudes.shape == (points,) * (n - 2)
+            assert np.abs(got.amplitudes - ref).max() <= 1e-12
+        spec = o.grid_reduced_spectrum(weights, states)
+        assert np.abs(spec - full_build_spectrum(want_w, want, axis)).max() <= 1e-12
+
+    def test_rejects_bad_input(self, purified_symmetric_111):
+        _, pur = purified_symmetric_111
+        axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
+        with pytest.raises(InvalidInput, match="x0"):
+            o.grid_sector_states(pur.cm, pur.dv, axis, 0.0)
+        with pytest.raises(InvalidInput, match="not pure"):
+            o.grid_sector_states(2.0 * np.eye(8), np.zeros(8), axis, 1.0)
+        with pytest.raises(GridTooSmall):
+            o.grid_sector_states(pur.cm, pur.dv, o.GridAxis(-4.0, 4.0, 41), 1.0)
+        with pytest.raises(InvalidInput, match="outside the grid"):
+            o.grid_sector_states(pur.cm, pur.dv, axis, 7.0)
+
+    def test_snaps_off_node_threshold(self, purified_symmetric_111):
+        _, pur = purified_symmetric_111
+        axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
+        with pytest.warns(UserWarning, match="snapped"):
+            _, states = o.grid_sector_states(pur.cm, pur.dv, axis, 1.01)
+        _, on_node = o.grid_sector_states(pur.cm, pur.dv, axis, 1.0)
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(states, on_node))
+
+    def test_sector_without_support_rejected(self):
+        # |psi|^2 = exp(-4 * 30^2) at the pinned nodes underflows to 0
+        with pytest.raises(OutcomeUnlikely, match="no support"):
+            o.grid_sector_states(np.eye(8), np.zeros(8), o.GridAxis(-60.0, 60.0, 41), 30.0)
+
+
 class TestGridReducedSpectrum:
     def test_pure_boundary_rank_one(self):
         lam = 1.25
         c = np.sqrt(lam**2 - 1.0)
         pur = g.purify(g.symmetric_embed(g.SymmetricStateParams(lam, c, c)))
         axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
-        psi = o.wavefunction_from_pure(pur.cm, pur.dv, axis)
-        spec = np.sort(o.grid_reduced_spectrum(psi, 1.0))
+        spec = np.sort(o.grid_reduced_spectrum(*o.grid_sector_states(pur.cm, pur.dv, axis, 1.0)))
         assert np.abs(spec - np.array([0.0, 0.0, 0.0, 1.0])).max() < 2e-3
 
-    def test_matches_effective_state(self, psi4, purified_symmetric_111):
+    def test_matches_effective_state(self, sectors4, purified_symmetric_111):
         from gausskey import security as sec
 
         p, _ = purified_symmetric_111
-        spec = np.sort(o.grid_reduced_spectrum(psi4, 1.0))
+        spec = np.sort(o.grid_reduced_spectrum(*sectors4))
         want = np.sort(np.linalg.eigvalsh(sec.effective_state(p, 1.0).rho))
         assert np.abs(spec - want).max() < 1e-3
 
-    def test_entropy_matches(self, psi4, purified_symmetric_111):
+    def test_entropy_matches(self, sectors4, purified_symmetric_111):
         from gausskey import matkit, security as sec
 
         p, _ = purified_symmetric_111
-        s_grid = matkit.entropy_bits(np.clip(o.grid_reduced_spectrum(psi4, 1.0), 0, None))
+        s_grid = matkit.entropy_bits(np.clip(o.grid_reduced_spectrum(*sectors4), 0, None))
         w = np.linalg.eigvalsh(sec.effective_state(p, 1.0).rho)
         s_exact = matkit.entropy_bits(np.clip(w, 0, None))
         assert abs(s_grid - s_exact) < 5e-3
 
-    def test_rejects_wrong_mode_count(self):
-        w = o.wavefunction_from_pure(np.eye(2), np.zeros(2), AX)
+    def test_rejects_wrong_mode_count(self, sectors4):
+        axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
+        with pytest.raises(InvalidInput, match="adversary mode"):
+            o.grid_sector_states(np.eye(4), np.zeros(4), axis, 1.0)
+        weights, states = sectors4
         with pytest.raises(InvalidInput):
-            o.grid_reduced_spectrum(w, 1.0)
+            o.grid_reduced_spectrum(weights[:3], states[:3])

@@ -296,6 +296,16 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             pr.ProtocolConfig(x0=1.0, window=0.1, n_pairs=0, block_n=2, seed=0)
 
+    def test_finiteness_check_takes_numpy_scalars_and_ints(self):
+        for x0, window in ((np.float64(1.0), np.float32(0.125)), (np.int64(10), 1)):
+            cfg = pr.ProtocolConfig(x0=x0, window=window, n_pairs=10, block_n=2, seed=0)
+            assert (cfg.x0, cfg.window) == (x0, window)
+        for bad in (np.nan, np.inf, -np.inf, np.float32("nan")):
+            with pytest.raises(InvalidInput):
+                pr.ProtocolConfig(x0=bad, window=0.1, n_pairs=10, block_n=2, seed=0)
+            with pytest.raises(InvalidInput):
+                pr.ProtocolConfig(x0=1.0, window=bad, n_pairs=10, block_n=2, seed=0)
+
     def test_wide_window_warns(self):
         with pytest.warns(UserWarning):
             pr.ProtocolConfig(x0=1.0, window=0.5, n_pairs=10, block_n=2, seed=0)
