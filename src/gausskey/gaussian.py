@@ -134,12 +134,11 @@ def symplectic_spectrum(cm):
 
 @dataclass(frozen=True)
 class SymplecticDiag:
-    """Williamson normal form: ``s.T @ cm @ s = d`` with ``s`` symplectic and
-    ``d`` diagonal with the symplectic eigenvalues repeated pairwise."""
+    """Williamson normal form: ``s.T @ cm @ s`` is diagonal with the
+    symplectic eigenvalues ``spectrum`` repeated pairwise, ``s`` symplectic."""
 
     spectrum: np.ndarray
     s: np.ndarray
-    d: np.ndarray
 
 
 def williamson(cm):
@@ -167,7 +166,7 @@ def williamson(cm):
     o[:, 1::2] = math.sqrt(2.0) * vecs.real
     spectrum = 1.0 / b
     s = (inv_sqrt @ o) * np.repeat(np.sqrt(spectrum), 2)[None, :]
-    return SymplecticDiag(spectrum, s, np.diag(np.repeat(spectrum, 2)))
+    return SymplecticDiag(spectrum, s)
 
 
 def purify(state):

@@ -135,28 +135,22 @@ def _exponent(m, xbar, pbar, nodes):
     tensor grid of ``nodes``, one node vector per mode; a vector of length 1
     pins its mode to that node.
 
-    Mode 0 is split off: ``rest`` holds the terms of modes 1..n-1 and
-    ``cross`` the coefficient of ``y0`` in the mode-0 cross terms, both on one
-    slab of axis 0, so only the output array is ever full size.
+    Every term spans at most two axes and is added in place into a zeroed
+    array, so the output is the only full-size array.  A mode's own term
+    ``i pbar_i x_i - 1/2 m_ii y_i^2`` rides along with the first cross term on
+    its axis, which saves one pass over the output per mode.
     """
     n = len(nodes)
-    sub = _sparse(nodes[1:])
-    ys = [c - xb for c, xb in zip(sub, xbar[1:])]
-    shape = tuple(len(v) for v in nodes)
-    rest = np.zeros(shape[1:], dtype=complex)
-    cross = np.zeros_like(rest)
-    for i in range(1, n):
-        rest += 1j * pbar[i] * sub[i - 1]
-        cross -= 0.5 * (m[0, i] + m[i, 0]) * ys[i - 1]
-        for k in range(1, n):
-            rest -= 0.5 * m[i, k] * (ys[i - 1] * ys[k - 1])
-    y0 = nodes[0] - xbar[0]
-    head = -0.5 * m[0, 0] * y0**2 + 1j * pbar[0] * nodes[0]
-
-    out = np.empty(shape, dtype=complex)
-    for j in range(shape[0]):
-        # a view, also when it is 0-dimensional
-        np.add(rest, y0[j] * cross + head[j], out=out[j, ...])
+    xs = _sparse(nodes)
+    ys = [x - xb for x, xb in zip(xs, xbar)]
+    pending = {i: 1j * pbar[i] * xs[i] - 0.5 * m[i, i] * ys[i] ** 2 for i in range(n)}
+    out = np.zeros(tuple(len(v) for v in nodes), dtype=complex)
+    for i in range(n):
+        for k in range(i + 1, n):
+            cross = -0.5 * (m[i, k] + m[k, i]) * (ys[i] * ys[k])
+            out += pending.pop(i, 0) + pending.pop(k, 0) + cross
+    for term in pending.values():  # a single mode has no cross term
+        out += term
     return out
 
 
@@ -182,6 +176,8 @@ def grid_overlap(a, b):
 
 
 def _snap(axis, x):
+    if not math.isfinite(x):
+        raise InvalidInput(f"outcome {x} is not finite")
     i = int(round((x - axis.lo) / axis.spacing))
     if not 0 <= i < axis.points:
         raise InvalidInput(f"outcome {x} outside the grid")
@@ -227,39 +223,21 @@ def _momentum_apply(amp, axis, mode):
 def grid_moments(psi):
     """Estimate the CM and DV of a grid wavefunction.
 
-    Position moments come from ``|psi|^2`` sums; momentum and cross moments
-    from FFT derivatives.  Returns ``(cm, dv)`` in mode-major ordering with
-    the vacuum-is-identity normalization.
+    With ``R = (X1, P1, X2, P2, ...)`` applied to ``psi`` (positions by
+    multiplication, momenta by FFT derivatives), ``dv_a = Re <psi|R_a psi>``
+    and ``cm = 2 (Re <R_a psi|R_b psi> - dv_a dv_b)``: the real part of
+    ``<R_a R_b>`` is the symmetrized moment.  Returns ``(cm, dv)`` in
+    mode-major ordering with the vacuum-is-identity normalization.
     """
     n = psi.n_modes
-    dxn = psi.axis.spacing**n
     amp = psi.amplitudes
-    dens = np.abs(amp) ** 2
-    coords = _sparse([psi.axis.nodes] * n)
-
-    xmean = np.array([float(np.sum(dens * coords[i]) * dxn) for i in range(n)])
-    pamps = [_momentum_apply(amp, psi.axis, i) for i in range(n)]
-    pmean = np.array([float(np.real(np.vdot(amp, pamps[i])) * dxn) for i in range(n)])
-
-    cm = np.zeros((2 * n, 2 * n))
-    for i in range(n):
-        yi = coords[i] - xmean[i]
-        for k in range(i, n):
-            yk = coords[k] - xmean[k]
-            cm[2 * i, 2 * k] = cm[2 * k, 2 * i] = 2.0 * float(np.sum(dens * yi * yk) * dxn)
-    for i in range(n):
-        for k in range(i, n):
-            cov = float(np.real(np.vdot(pamps[i], pamps[k])) * dxn) - pmean[i] * pmean[k]
-            cm[2 * i + 1, 2 * k + 1] = cm[2 * k + 1, 2 * i + 1] = 2.0 * cov
-    for i in range(n):
-        for k in range(n):
-            raw = float(np.real(np.vdot(amp, coords[i] * pamps[k])) * dxn)
-            cm[2 * i, 2 * k + 1] = cm[2 * k + 1, 2 * i] = 2.0 * (raw - xmean[i] * pmean[k])
-
-    dv = np.empty(2 * n)
-    dv[0::2] = xmean
-    dv[1::2] = pmean
-    return cm, dv
+    r = []
+    for i, x in enumerate(_sparse([psi.axis.nodes] * n)):
+        r += [x * amp, _momentum_apply(amp, psi.axis, i)]
+    dxn = psi.axis.spacing**n
+    dv = np.array([np.vdot(amp, ra).real for ra in r]) * dxn
+    gram = np.array([[np.vdot(ra, rb).real for rb in r] for ra in r]) * dxn
+    return 2.0 * (gram - np.outer(dv, dv)), dv
 
 
 def grid_sector_states(cm, dv, axis, x0):

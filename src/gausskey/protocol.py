@@ -108,8 +108,12 @@ def error_from_exponent(a):
 def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
     with ``r`` from :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0``
-    gives 1/2 at every threshold, ``x0 = inf`` included."""
-    return float(error_from_exponent(_exponent(symmetric_exponents(p)[0], float(x0))))
+    gives 1/2 at every threshold, ``x0 = inf`` included; a NaN ``x0`` raises
+    ``InvalidInput``."""
+    x0 = float(x0)
+    if math.isnan(x0):
+        raise InvalidInput("x0 must not be NaN")
+    return float(error_from_exponent(_exponent(symmetric_exponents(p)[0], x0)))
 
 
 def ad_error(eps, n):

@@ -83,7 +83,6 @@ class SecurityReport:
     nppt: bool
     individual_secure: bool
     coherent_ad_secure: bool
-    general_secure: bool
     best_x0: float
     rate_lb: float
     eps_ab: float
@@ -261,7 +260,7 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     """Whether some threshold on the grid satisfies the overlap-based key
     condition of the given attack model.  The condition does not depend on
     the threshold, so the grid is only validated."""
-    if x0_grid is not None and (np.size(x0_grid) == 0 or np.min(x0_grid) <= 0):
+    if x0_grid is not None and (np.size(x0_grid) == 0 or not np.min(x0_grid) > 0):
         raise InvalidInput("x0 grid must be positive")
     if attack == GENERAL:
         raise InvalidInput("use optimize_rate for the general one-way bound")
@@ -332,7 +331,6 @@ def build_report(p, x0_max=5.0):
         nppt=npt_symmetric(p),
         individual_secure=individual,
         coherent_ad_secure=coherent_ad,
-        general_secure=bool(rate > _RATE_FLOOR),
         best_x0=best_x0,
         rate_lb=rate,
         eps_ab=error_probability(p, best_x0),

@@ -157,8 +157,7 @@ def assert_williamson(cm, tol=1e-12):
     wd = g.williamson(cm)
     j = kron(cm.shape[0] // 2)
     assert np.abs(wd.s.T @ j @ wd.s - j).max() < tol
-    assert np.abs(wd.s.T @ cm @ wd.s - wd.d).max() < tol
-    assert np.abs(wd.d - np.diag(np.repeat(wd.spectrum, 2))).max() == 0.0
+    assert np.abs(wd.s.T @ cm @ wd.s - np.diag(np.repeat(wd.spectrum, 2))).max() < tol
     assert np.all(np.diff(wd.spectrum) >= -1e-12)
     return wd
 

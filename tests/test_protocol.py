@@ -74,6 +74,10 @@ class TestErrorProbability:
         with pytest.raises(InvalidInput):
             pr.error_probability(SymmetricStateParams(1.5, 1.3, 1.0), 1.0)
 
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(InvalidInput, match="NaN"):
+            pr.error_probability(P111, np.nan)
+
 
 class TestAdError:
     def test_symmetric_fixed_point(self):

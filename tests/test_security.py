@@ -252,6 +252,10 @@ class TestAnyX0Secure:
         with pytest.raises(InvalidInput):
             sec.any_x0_secure(P111, attack=sec.GENERAL)
 
+    def test_rejects_nan_grid(self):
+        with pytest.raises(InvalidInput, match="positive"):
+            sec.any_x0_secure(P111, [np.nan])
+
 
 class TestEffectiveState:
     def test_pure_boundary_rank_one(self):
@@ -399,7 +403,6 @@ class TestBuildReport:
         rep = sec.build_report(P111)
         assert rep.nppt
         assert rep.individual_secure and rep.coherent_ad_secure
-        assert rep.general_secure == (rep.rate_lb > 0)
         eps = error_probability(P111, rep.best_x0)
         assert abs(eps - rep.eps_ab) < 1e-15
         assert rep.individual_secure == (rep.eps_ab / (1 - rep.eps_ab) < rep.eve_overlap)
