@@ -193,8 +193,8 @@ _FRONTIER_COLUMNS = ("c", "lambda_star", "lambda_solid", "lambda_dashed")
 
 
 def cmd_frontier(args):
-    if args.steps < 2:
-        raise _UsageError("--steps must be at least 2")
+    if not 2 <= args.steps <= 1_000_000:
+        raise _UsageError("--steps must be between 2 and 1000000")
     if not args.c_min < args.c_max:
         raise _UsageError("--c-min must be below --c-max")
     if args.c_min <= 0:

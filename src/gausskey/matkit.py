@@ -21,6 +21,7 @@ import numpy as np
 from .errors import EvaluationError, InvalidInput, NotPSD
 
 _SCAN_POINTS = 64  # points per scan of minimize_scalar
+_SCAN_INDEX = np.arange(float(_SCAN_POINTS))
 
 
 def _require_finite(a, name):
@@ -111,11 +112,13 @@ def minimize_scalar(f, lo, hi, tol=1e-8):
         raise InvalidInput("need finite lo < hi")
 
     while True:
-        xs = np.linspace(lo, hi, _SCAN_POINTS)
-        ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
-        bad = ~np.isfinite(ys)
-        if bad.any():
-            raise EvaluationError(xs[np.argmax(bad)])
+        # np.linspace's arithmetic, bar its rescue of a step that underflows to 0
+        xs = _SCAN_INDEX * ((hi - lo) / (_SCAN_POINTS - 1)) + lo
+        xs[-1] = hi
+        ys = np.empty_like(xs)
+        ys[...] = f(xs)  # a scalar-returning objective broadcasts
+        if not np.isfinite(ys).all():
+            raise EvaluationError(xs[np.argmin(np.isfinite(ys))])
         k = int(np.argmin(ys))
         a, b = xs[max(k - 1, 0)], xs[min(k + 1, _SCAN_POINTS - 1)]
         if b - a <= tol or b - a >= hi - lo:

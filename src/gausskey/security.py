@@ -211,18 +211,22 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     _check_x0(x0)
-    # k x0^2 for k = r, q_same, q_diff, 2 q_mix in one call, one row per k;
-    # g_mix^2 = exp(-k_pair)
-    k = _state_exponents(p) * np.array([1.0, 1.0, 1.0, 2.0])
-    k_r, k_same, k_diff, k_pair = _exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
-    eps = error_from_exponent(k_r)
+    # rows -k x0^2 for k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2: each
+    # numpy call covers them all, as its overhead dominates the short arrays
+    k = _state_exponents(p)[[0, 1, 2, 3, 1, 2]] * [1.0, 1.0, 1.0, 2.0, 0.5, 0.5]
+    neg = -_exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
+    g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
+    eps = g[0] / (1.0 + g[0])
     a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
-    big = a2 * (1.0 + np.exp(-k_same))
-    small = b2 * (1.0 + np.exp(-k_diff))
-    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * np.exp(-k_pair))
-    det = a2 * b2 * (np.expm1(-k_pair) ** 2 + (np.exp(-0.5 * k_same) - np.exp(-0.5 * k_diff)) ** 2)
-    w = np.stack([-a2 * np.expm1(-k_same), -b2 * np.expm1(-k_diff), top, det / top], axis=-1)
-    rate = 1.0 - matkit.binary_entropy(eps) - matkit.entropy_bits(w)
+    big, small = a2 * (1.0 + g[1]), b2 * (1.0 + g[2])
+    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * g[3])
+    det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
+    # the spectrum and (eps, 1 - eps), summed as entropy_bits and binary_entropy do
+    w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, 1.0 - eps])
+    if not (np.isfinite(w).all() and w[:4].min() >= -1e-9 and w[4:].min() >= 0.0):
+        raise InvalidInput(f"rate weights must be finite and nonnegative, got min {w.min()}")
+    s0, s1, s2, s3, e0, e1 = matkit._xlog2x(np.maximum(w, 0.0))
+    rate = (1.0 + (e0 + e1)) + (((s0 + s1) + s2) + s3)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 

@@ -100,6 +100,22 @@ class TestFrontier:
         code, _, _ = run(capsys, "frontier", "--c-min", "2.0", "--c-max", "1.0")
         assert code == 1
 
+    def test_huge_steps_exits_1_before_allocating(self, capsys):
+        # 10**13 points would be 80 TB; the cap is checked before any grid exists
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code, out, err = run(capsys, "frontier", "--steps", str(10**13))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == "error: --steps must be between 2 and 1000000\n"
+        assert peak < 2**20
+
     def test_too_narrow_range_exits_1(self, capsys):
         # one float apart: np.linspace repeats values, the grid is not the user's fault
         code, out, err = run(capsys, "frontier", "--c-min", "1", "--c-max", "1.0000000000000002",

@@ -159,6 +159,28 @@ class TestMinimizeScalar:
         x, fx = matkit.minimize_scalar(lambda x: x, 0.25, 1.0, tol=1e-8)
         assert x == 0.25 and fx == 0.25
 
+    def test_scan_grids_are_linspace(self):
+        # run each bracket down to float resolution: every grid, the last
+        # few-ulp ones included, is np.linspace's, bit for bit; on (0.2, 0.9)
+        # 63 steps from lo miss hi by an ulp, so the endpoint is set to hi
+        brackets = ((0.0, 3.0), (5e-6, 5.0), (1e194, 1e200), (1.0, 1.0 + 1e-9), (0.2, 0.9))
+        for lo, hi in brackets:
+            grids = []
+
+            def recording(xs):
+                grids.append(xs.copy())
+                return np.abs(xs - (0.3 * lo + 0.7 * hi))
+
+            matkit.minimize_scalar(recording, lo, hi, tol=1e-300)
+            assert len(grids) > 2 and (grids[0][0], grids[0][-1]) == (lo, hi)
+            for xs in grids:
+                assert np.array_equal(xs, np.linspace(xs[0], xs[-1], 64)), (lo, hi)
+
+    def test_constant_scalar_objective_returns_lo(self):
+        for lo, hi in ((0.0, 3.0), (5e-6, 5.0)):
+            x, fx = matkit.minimize_scalar(lambda x: 1.0, lo, hi)
+            assert x == lo and fx == 1.0
+
     def test_huge_bracket_terminates(self):
         # no bracket is narrower than tol among floats near 1e199
         for f, want in ((lambda x: np.abs(x - 5e199), 5e199), (lambda x: -x, 1e200)):

@@ -117,8 +117,10 @@ class TestClosedFormReference:
             rates = sec.rate_lower_bound(p, x0s)
             assert rates.shape == x0s.shape
             scalar = np.vectorize(lambda x: sec.rate_lower_bound(p, x))(x0s)
-            assert np.abs(rates - scalar).max() < 1e-15
+            assert np.array_equal(rates, scalar)
         assert isinstance(sec.rate_lower_bound(P111, 1.0), float)
+        zero_d = sec.rate_lower_bound(P111, np.array(1.0))
+        assert isinstance(zero_d, float) and zero_d == sec.rate_lower_bound(P111, 1.0)
 
     def test_rejects_zero_threshold_in_batch(self):
         with pytest.raises(InvalidInput):
@@ -353,6 +355,21 @@ class TestFrontier:
         pts = sec.security_frontier(np.array([0.5, 1.0, 2.0]), sec.INDIVIDUAL)
         for c, lam_star in pts:
             assert abs(lam_star - (c + 1.0)) < 1e-5
+
+    def test_overlap_frontiers_match_closed_forms(self):
+        # individual and finite-coherent: r > q_same flips at lam = c + 1;
+        # coherent-ad: r > 2 q_same flips at lam = c + u, where u > 0 solves
+        # c / (u (2c + u)) = u - 1 / (2c + u), i.e. u^3 + 2c u^2 - u - c = 0.
+        # The bisection stops within 1e-6, so its midpoint lies within 5e-7
+        # of the flip; 1e-9 covers rounding.  The grid is the CLI default.
+        grid, tol = np.linspace(0.1, 3.0, 30), 5e-7 + 1e-9
+        for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT):
+            for c, lam_star in sec.security_frontier(grid, attack):
+                assert abs(lam_star - (c + 1.0)) <= tol, (attack, c)
+        for c, lam_star in sec.security_frontier(grid, sec.COHERENT_AD):
+            roots = np.roots([1.0, 2.0 * c, -1.0, -c])
+            (u,) = roots[(np.abs(roots.imag) < 1e-12) & (roots.real > 0)].real
+            assert abs(lam_star - (c + u)) <= tol, c
 
     def test_general_strictly_between_rails(self):
         pts = sec.security_frontier(np.array([1.0]), sec.GENERAL)
