@@ -93,8 +93,15 @@ def _exponent(k, x0):
     taken as is it would blow up at huge thresholds."""
     k = np.asarray(k, dtype=float)
     with np.errstate(over="ignore"):
-        x2 = np.square(x0, dtype=float)
-        return np.multiply(k, x2, out=np.zeros(np.broadcast(k, x2).shape), where=k > 0)
+        return _masked_product(k, k > 0, np.square(x0, dtype=float))
+
+
+def _masked_product(k, positive, x2):
+    """``k * x2`` where the mask ``positive`` (``k > 0``) holds and ``x2 > 0``,
+    else 0: an underflowed ``x0^2 = 0`` gives 0 for every ``k``, ``k = inf``
+    included, where the plain product would be NaN."""
+    mask = positive & (x2 > 0)
+    return np.multiply(k, x2, out=np.zeros(mask.shape), where=mask)
 
 
 def error_from_exponent(a):

@@ -38,7 +38,7 @@ from .gaussian import (
     symmetric_embed,
     symmetric_exponents,
 )
-from .protocol import _exponent, error_from_exponent, error_probability
+from .protocol import _exponent, _masked_product, error_from_exponent
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -194,6 +194,46 @@ def effective_state(p, x0):
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
+def _rate_rows(p, ndim=1):
+    """The per-state part of :func:`rate_lower_bound`: the rows ``-k`` for
+    ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2``, shaped
+    ``(6, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds, and
+    their mask ``k > 0``.  Each numpy call of :func:`_rate_kernel` then covers
+    all six rows, as its overhead dominates the short arrays."""
+    r, q_same, q_diff, q_mix = _state_exponents(p).tolist()
+    k = np.array([r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff])
+    k = k.reshape((6,) + (1,) * ndim)
+    return -k, k > 0
+
+
+def _decay_exponents(rows, x0):
+    """``-k x0^2`` for each of the :func:`_rate_rows`, 0 where
+    :func:`~gausskey.protocol._exponent` gives 0.  ``x0^2`` may overflow to
+    ``inf``, so callers hold ``np.errstate(over="ignore")``."""
+    neg_k, positive = rows
+    return _masked_product(neg_k, positive, np.square(x0, dtype=float))
+
+
+def _rate_kernel(rows, x0):
+    """The per-threshold part of :func:`rate_lower_bound`: the rate at the
+    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`, under the
+    caller's ``np.errstate(over="ignore")``."""
+    neg = _decay_exponents(rows, x0)
+    g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
+    eps = g[0] / (1.0 + g[0])
+    one_minus_eps = 1.0 - eps
+    a2, b2 = 0.5 * one_minus_eps, 0.5 * eps
+    big, small = a2 * (1.0 + g[1]), b2 * (1.0 + g[2])
+    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * g[3])
+    det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
+    # the spectrum and (eps, 1 - eps), summed as entropy_bits and binary_entropy do
+    w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, one_minus_eps])
+    if not (np.isfinite(w).all() and w[:4].min() >= -1e-9 and w[4:].min() >= 0.0):
+        raise InvalidInput(f"rate weights must be finite and nonnegative, got min {w.min()}")
+    s0, s1, s2, s3, e0, e1 = matkit._xlog2x(np.maximum(w, 0.0))
+    return (1.0 + (e0 + e1)) + (((s0 + s1) + s2) + s3)
+
+
 def rate_lower_bound(p, x0):
     """One-way key-rate lower bound ``(1 - h(eps)) - S(rho)`` in bits per
     accepted symbol, elementwise over an array of thresholds (a float for a
@@ -211,23 +251,29 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     _check_x0(x0)
-    # rows -k x0^2 for k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2: each
-    # numpy call covers them all, as its overhead dominates the short arrays
-    k = _state_exponents(p)[[0, 1, 2, 3, 1, 2]] * [1.0, 1.0, 1.0, 2.0, 0.5, 0.5]
-    neg = -_exponent(k.reshape(k.shape + (1,) * np.ndim(x0)), x0)
-    g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
-    eps = g[0] / (1.0 + g[0])
-    a2, b2 = 0.5 * (1.0 - eps), 0.5 * eps
-    big, small = a2 * (1.0 + g[1]), b2 * (1.0 + g[2])
-    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * g[3])
-    det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
-    # the spectrum and (eps, 1 - eps), summed as entropy_bits and binary_entropy do
-    w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, 1.0 - eps])
-    if not (np.isfinite(w).all() and w[:4].min() >= -1e-9 and w[4:].min() >= 0.0):
-        raise InvalidInput(f"rate weights must be finite and nonnegative, got min {w.min()}")
-    s0, s1, s2, s3, e0, e1 = matkit._xlog2x(np.maximum(w, 0.0))
-    rate = (1.0 + (e0 + e1)) + (((s0 + s1) + s2) + s3)
+    with np.errstate(over="ignore"):
+        rate = _rate_kernel(_rate_rows(p, np.ndim(x0)), x0)
     return float(rate) if np.ndim(rate) == 0 else rate
+
+
+def _best_rate(rows, x0_max):
+    """:func:`optimize_rate` on a state's :func:`_rate_rows`, under the
+    caller's ``np.errstate(over="ignore")``."""
+    if not (np.isfinite(x0_max) and x0_max > 0):
+        raise InvalidInput("x0_max must be positive")
+    # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
+    # a term with k = inf is 0 at every threshold; two roots, because 746 / k
+    # overflows for k below 4e-306
+    r, _, _, k_mix, k_same, k_diff = (-v for v in rows[0].ravel().tolist())
+    k = [v for v in (r, k_same, k_diff, k_mix) if 0.0 < v < math.inf]
+    hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
+    lo = 1e-6 * hi
+    if not 0.0 < lo < hi:
+        raise InvalidInput(
+            f"x0_max={x0_max!r} leaves no positive search range [1e-6 x0_max, x0_max]"
+        )
+    x, neg = matkit.minimize_scalar(lambda xs: -_rate_kernel(rows, xs), lo, hi, tol=1e-6)
+    return float(x), float(-neg)
 
 
 def optimize_rate(p, x0_max=5.0):
@@ -242,22 +288,12 @@ def optimize_rate(p, x0_max=5.0):
     0, so the rate is exactly constant there and a huge ``x0_max`` cannot push
     the search past the optimum.  A subnormal ``x0_max``, for which ``1e-6 hi``
     underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``.
+    The state's :func:`_rate_rows` are built once; each scan runs only
+    :func:`_rate_kernel`.
     """
-    if not (np.isfinite(x0_max) and x0_max > 0):
-        raise InvalidInput("x0_max must be positive")
-    # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
-    # a term with k = inf is 0 at every threshold; two roots, because 746 / k
-    # overflows for k below 4e-306
-    r, q_same, q_diff, q_mix = _state_exponents(p)
-    k = [float(v) for v in (r, 0.5 * q_same, 0.5 * q_diff, 2.0 * q_mix) if 0.0 < v < np.inf]
-    hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
-    lo = 1e-6 * hi
-    if not 0.0 < lo < hi:
-        raise InvalidInput(
-            f"x0_max={x0_max!r} leaves no positive search range [1e-6 x0_max, x0_max]"
-        )
-    x, neg = matkit.minimize_scalar(lambda xs: -rate_lower_bound(p, xs), lo, hi, tol=1e-6)
-    return float(x), float(-neg)
+    rows = _rate_rows(p)
+    with np.errstate(over="ignore"):
+        return _best_rate(rows, x0_max)
 
 
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
@@ -328,15 +364,22 @@ def build_report(p, x0_max=5.0):
 
     NPPT comes from :func:`npt_symmetric` rather than the exponents, so the
     report's ``nppt`` and ``individual_secure`` stay two routes to one fact.
+    The rate search and the report's ``eps_ab = g_r / (1 + g_r)`` and
+    ``eve_overlap = g_same`` at its best threshold read one set of
+    :func:`_rate_rows`; they match :func:`~gausskey.protocol.error_probability`
+    and :func:`eve_overlap` bit for bit.
     """
     individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
-    best_x0, rate = optimize_rate(p, x0_max)
+    rows = _rate_rows(p)
+    with np.errstate(over="ignore"):
+        best_x0, rate = _best_rate(rows, x0_max)
+        g_r, g_same = np.exp(_decay_exponents(rows, best_x0)[:2, 0])
     return SecurityReport(
         nppt=npt_symmetric(p),
         individual_secure=individual,
         coherent_ad_secure=coherent_ad,
         best_x0=best_x0,
         rate_lb=rate,
-        eps_ab=error_probability(p, best_x0),
-        eve_overlap=eve_overlap(p, best_x0),
+        eps_ab=float(g_r / (1.0 + g_r)),
+        eve_overlap=float(g_same),
     )

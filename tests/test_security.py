@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_symmetric_params
-from gausskey import matkit, security as sec
+from gausskey import matkit, protocol, security as sec
 from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
 from gausskey.protocol import error_probability
@@ -178,6 +178,21 @@ class TestHugeThresholds:
             rates = sec.rate_lower_bound(p, cap * np.array([1.0, 1.5, 1e10]))
             assert rates[0] == rates[1] == rates[2], p
             assert sec.optimize_rate(p, x0_max=1e200)[1] >= sec.optimize_rate(p)[1] - 1e-12, p
+
+    def test_infinite_exponent_at_underflowed_threshold(self):
+        # at lam = 1.7e308 the overlap exponents are infinite, and x0 = 1e-200
+        # squares to 0: the exponent is 0 there, not inf * 0 = NaN, so every
+        # route sees the x0 -> 0 limit of a finite state
+        p = SymmetricStateParams(1.7e308, 1.0, 1.0)
+        assert np.isinf(symmetric_exponents(p)[1])
+        eff = sec.effective_state(p, 1e-200)
+        assert np.array_equal(eff.rho, sec.effective_state(P111, 1e-200).rho)
+        assert np.array_equal(eff.rho, np.full((4, 4), 0.25)) and eff.eps_ab == 0.5
+        assert sec.eve_overlap(p, 1e-200) == 1.0
+        assert sec.rate_lower_bound(p, 1e-200) == sec.rate_lower_bound(P111, 1e-200) == 0.0
+        # the rate search's rows follow the same rule: its scan of
+        # [1e-166, 1e-160] meets thresholds below about 1.6e-162, whose x0^2 is 0
+        assert sec.optimize_rate(p, x0_max=1e-160)[1] == 0.0
 
 
 class TestAttackConditions:
@@ -428,3 +443,28 @@ class TestBuildReport:
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidInput):
             sec.build_report(SymmetricStateParams(1.5, 1.3, 1.0))
+
+    def test_scan_work_and_no_second_derivation(self, monkeypatch):
+        # pinned scan counts: hoisting the per-state rows must not change the
+        # search, and the report reads eps and the overlap from those rows
+        scans = []
+        minimize = matkit.minimize_scalar
+
+        def counted(f, lo, hi, tol=1e-8):
+            def objective(xs):
+                scans.append(np.size(xs))
+                return f(xs)
+
+            return minimize(objective, lo, hi, tol)
+
+        def forbidden(*args):
+            raise AssertionError("build_report derived eps or the overlap a second time")
+
+        monkeypatch.setattr(matkit, "minimize_scalar", counted)
+        monkeypatch.setattr(protocol, "error_probability", forbidden)
+        monkeypatch.setattr(sec, "error_probability", forbidden, raising=False)
+        monkeypatch.setattr(sec, "eve_overlap", forbidden)
+        for state, count in (((1.5, 1.0, 1.0), 5), ((2.0, 0.5, 0.5), 4)):
+            scans.clear()
+            sec.build_report(SymmetricStateParams(*state))
+            assert scans == [64] * count, state
