@@ -57,7 +57,6 @@ from .security import (
     effective_state,
     eve_ensemble,
     eve_overlap,
-    individual_attack_secure,
     optimize_rate,
     rate_lower_bound,
     security_frontier,

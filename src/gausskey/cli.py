@@ -119,6 +119,7 @@ def build_parser():
                      description="Secret-key distillation analysis for symmetric "
                                  "two-mode Gaussian states")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for _parse
 
     sp = sub.add_parser("analyze", help="security report for one parameter point")
     _add_param_flags(sp)
@@ -165,6 +166,20 @@ def _parser():
     """The parser :func:`main` reuses, built on first use: parsing leaves
     nothing on it, each call returns a fresh namespace."""
     return build_parser()
+
+
+def _parse(argv):
+    """``_parser().parse_args(argv)``, parsing ``argv`` once: a leading
+    subcommand name hands the rest straight to that subcommand's parser,
+    which is all the top-level parser would do with it.  Anything else (no
+    command, an unknown one, ``--help``) goes through the top-level parser."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def cmd_analyze(args):
@@ -340,13 +355,12 @@ def cmd_oracle_check(args):
 
 
 def main(argv=None):
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if args.config:
             # the command comes first: the top-level parser has no options
-            args = parser.parse_args(argv[:1] + _read_config(args.config) + argv[1:])
+            args = _parse(argv[:1] + _read_config(args.config) + argv[1:])
         handler = {
             "analyze": cmd_analyze,
             "frontier": cmd_frontier,

@@ -16,6 +16,8 @@ routines with the validation and conventions the rest of the code relies on:
 * entropy helpers in bits.
 """
 
+import math
+
 import numpy as np
 
 from .errors import EvaluationError, InvalidInput, NotPSD
@@ -108,7 +110,10 @@ def minimize_scalar(f, lo, hi, tol=1e-8):
     returned ``x`` is within ``tol`` of its argmin.  Returns the best scanned
     point and its value ``(x, f(x))``.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+    # the bracket is kept in Python floats: the same IEEE arithmetic as
+    # numpy scalars, without their per-operation overhead
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInput("need finite lo < hi")
 
     while True:
@@ -119,8 +124,8 @@ def minimize_scalar(f, lo, hi, tol=1e-8):
         ys[...] = f(xs)  # a scalar-returning objective broadcasts
         if not np.isfinite(ys).all():
             raise EvaluationError(xs[np.argmin(np.isfinite(ys))])
-        k = int(np.argmin(ys))
-        a, b = xs[max(k - 1, 0)], xs[min(k + 1, _SCAN_POINTS - 1)]
+        k = int(ys.argmin())
+        a, b = xs.item(max(k - 1, 0)), xs.item(min(k + 1, _SCAN_POINTS - 1))
         if b - a <= tol or b - a >= hi - lo:
             return xs[k], ys[k]
         lo, hi = a, b

@@ -156,13 +156,6 @@ def _secure(p, attack):
     return bool(r > _OVERLAP_POWER[attack] * q_same)
 
 
-def individual_attack_secure(p, x0):
-    """Key condition against symbol-by-symbol adversary measurements:
-    ``eps/(1-eps) < |<e_++|e_-->|``; the same at every nonzero ``x0``."""
-    _check_x0(x0)
-    return _secure(p, INDIVIDUAL)
-
-
 def coherent_ad_secure(p, x0):
     """Key condition when the adversary measures a whole distillation block
     coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``; the same at every nonzero

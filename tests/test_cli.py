@@ -515,3 +515,65 @@ class TestOutputConventions:
             code, out, err = run(capsys, *argv)
             assert code == 1, argv
             assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
+
+
+_POINT = ("--lambda", "1.5", "--cx", "1", "--cp", "1")
+
+
+class TestParseParity:
+    """``cli._parse`` hands a leading subcommand's argv straight to that
+    subcommand's parser; every outcome must be the full parser's."""
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", *_POINT),
+        ("analyze", "--lam", "1.5", "--cx=1", "--cp", "-1", "--x0-max", "2"),
+        ("analyze", "--config", "run.cfg", "--cx", "1"),
+        ("analyze", "--lambda=1.5", "--cx=1", "--config", "run.cfg", "--cp", "1", "--out", "r.json"),
+        ("frontier",),
+        ("frontier", "--c-min", "0.5", "--c-max", "1.5", "--steps", "3", "--attack", "general",
+         "--format", "json"),
+        ("simulate", *_POINT, "--x0", "1", "--window", "0.05", "--pairs", "1000",
+         "--block-n", "3", "--workers", "2", "--seed", "7", "--config", "run.cfg"),
+        ("oracle-check",),
+        ("oracle-check", "--level", "full", "--out", "o.txt"),
+    ])
+    def test_valid_argv_same_namespace(self, argv):
+        want = vars(cli.build_parser().parse_args(list(argv)))
+        assert vars(cli._parse(list(argv))) == want
+        assert want["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("nope",),
+        ("nope", *_POINT),
+        ("--lambda", "1.5"),
+        ("analyze", "--nonsense", "1"),
+        ("analyze", *_POINT, "extra"),
+        ("analyze", "--cx", "abc"),
+        ("frontier", "--attack", "bogus"),
+        ("simulate", *_POINT, "--pairs", "1e6"),
+        ("oracle-check", "--level"),
+    ])
+    def test_invalid_argv_same_message(self, argv):
+        with pytest.raises(cli._UsageError) as want:
+            cli.build_parser().parse_args(list(argv))
+        with pytest.raises(cli._UsageError) as got:
+            cli._parse(list(argv))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",),
+        ("-h", "analyze"),
+        ("analyze", "--help"),
+        ("frontier", *_POINT[:2], "-h"),
+        ("simulate", "--help"),
+        ("oracle-check", "--help"),
+    ])
+    def test_help_same_text(self, argv, capsys):
+        with pytest.raises(SystemExit) as want:
+            cli.build_parser().parse_args(list(argv))
+        want_out = capsys.readouterr().out
+        with pytest.raises(SystemExit) as got:
+            cli._parse(list(argv))
+        assert want.value.code == got.value.code == 0
+        assert capsys.readouterr().out == want_out and want_out.startswith("usage: gausskey")

@@ -162,19 +162,32 @@ class TestMinimizeScalar:
     def test_scan_grids_are_linspace(self):
         # run each bracket down to float resolution: every grid, the last
         # few-ulp ones included, is np.linspace's, bit for bit; on (0.2, 0.9)
-        # 63 steps from lo miss hi by an ulp, so the endpoint is set to hi
+        # 63 steps from lo miss hi by an ulp, so the endpoint is set to hi.
+        # np.float64 bounds, and int ones where the floats are integers, give
+        # the same grids and result as Python floats
         brackets = ((0.0, 3.0), (5e-6, 5.0), (1e194, 1e200), (1.0, 1.0 + 1e-9), (0.2, 0.9))
         for lo, hi in brackets:
-            grids = []
+            def scan(lo_arg, hi_arg):
+                grids = []
 
-            def recording(xs):
-                grids.append(xs.copy())
-                return np.abs(xs - (0.3 * lo + 0.7 * hi))
+                def recording(xs):
+                    grids.append(xs.copy())
+                    return np.abs(xs - (0.3 * lo + 0.7 * hi))
 
-            matkit.minimize_scalar(recording, lo, hi, tol=1e-300)
+                return grids, matkit.minimize_scalar(recording, lo_arg, hi_arg, tol=1e-300)
+
+            grids, best = scan(lo, hi)
             assert len(grids) > 2 and (grids[0][0], grids[0][-1]) == (lo, hi)
             for xs in grids:
                 assert np.array_equal(xs, np.linspace(xs[0], xs[-1], 64)), (lo, hi)
+            variants = [(np.float64(lo), np.float64(hi))]
+            if lo.is_integer() and hi.is_integer():
+                variants.append((int(lo), int(hi)))
+            for bounds in variants:
+                other, other_best = scan(*bounds)
+                assert len(other) == len(grids), bounds
+                assert all(np.array_equal(a, b) for a, b in zip(other, grids)), bounds
+                assert other_best == best, bounds
 
     def test_constant_scalar_objective_returns_lo(self):
         for lo, hi in ((0.0, 3.0), (5e-6, 5.0)):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_symmetric_params
 from gausskey import matkit, protocol, security as sec
@@ -13,6 +16,21 @@ P111 = SymmetricStateParams(1.5, 1.0, 1.0)
 def pure_boundary_params(lam):
     c = np.sqrt(lam**2 - 1.0)
     return SymmetricStateParams(lam, c, c)
+
+
+@st.composite
+def physical_params(draw):
+    """A hypothesis draw of a physical state: ``lam`` sits an offset of 0 to 3
+    above the physical boundary ``(lam - cx)(lam + cp) = 1``, so both sides
+    of the NPPT boundary and the boundary itself are drawn."""
+    cx = draw(st.floats(0.0, 5.0))
+    cp = cx * draw(st.floats(0.0, 1.0))
+    lam = 0.5 * (cx - cp + math.sqrt((cx + cp) ** 2 + 4.0)) + draw(st.floats(0.0, 3.0))
+    return SymmetricStateParams(lam, cx, cp)
+
+
+# positive thresholds from far below the search range to where eps underflows
+thresholds = st.floats(1e-9, 40.0)
 
 
 class TestEveEnsemble:
@@ -197,14 +215,14 @@ class TestHugeThresholds:
 
 class TestAttackConditions:
     def test_individual_reference_point(self):
-        assert sec.individual_attack_secure(P111, 1.0)
+        assert sec.any_x0_secure(P111, [1.0], attack=sec.INDIVIDUAL)
         eps = error_probability(P111, 1.0)
         assert abs(eps / (1 - eps) - 0.04076) < 1e-5
         assert abs(sec.eve_overlap(P111, 1.0) - 0.8187) < 1e-4
 
     def test_product_state_insecure(self):
         p = SymmetricStateParams(1.5, 0.0, 0.0)
-        assert not sec.individual_attack_secure(p, 1.0)
+        assert not sec.any_x0_secure(p, [1.0], attack=sec.INDIVIDUAL)
 
     def test_boundary_equality(self):
         # at cx = cp = lam - 1 both sides reduce to the same exponential
@@ -233,13 +251,11 @@ class TestAttackConditions:
         grid = np.linspace(0.25, 5.0, 20)
         assert not any(sec.coherent_ad_secure(p, x0) for x0 in grid)
 
-    def test_coherent_ad_implies_individual(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            p = random_symmetric_params(rng)
-            x0 = rng.uniform(0.2, 3.0)
-            if sec.coherent_ad_secure(p, x0):
-                assert sec.individual_attack_secure(p, x0)
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params(), thresholds)
+    def test_coherent_ad_implies_individual(self, p, x0):
+        if sec.coherent_ad_secure(p, x0):
+            assert sec.any_x0_secure(p, [x0], attack=sec.INDIVIDUAL)
 
     def test_nppt_iff_individual_sample(self):
         rng = np.random.default_rng(13)
@@ -262,7 +278,7 @@ class TestAnyX0Secure:
             slow_coh = any(r < o**2 for r, o in zip(ratios, overlaps))
             assert sec.any_x0_secure(p, grid, sec.INDIVIDUAL) == slow_ind
             assert sec.any_x0_secure(p, grid, sec.COHERENT_AD) == slow_coh
-            assert all(sec.individual_attack_secure(p, x) == slow_ind for x in grid)
+            assert all(sec.any_x0_secure(p, [x], attack=sec.INDIVIDUAL) == slow_ind for x in grid)
             assert all(sec.coherent_ad_secure(p, x) == slow_coh for x in grid)
 
     def test_rejects_general(self):
@@ -326,13 +342,13 @@ class TestRateBound:
         assert sec.optimize_rate(weak)[1] < 0.0
         assert sec.optimize_rate(strong)[1] > 0.0
 
-    def test_rate_below_mutual_information(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            p = random_symmetric_params(rng)
-            x0 = rng.uniform(0.3, 2.5)
-            eps = error_probability(p, x0)
-            assert sec.rate_lower_bound(p, x0) <= 1.0 - matkit.binary_entropy(eps) + 1e-12
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params(), thresholds)
+    def test_rate_below_mutual_information(self, p, x0):
+        # the rate is 1 - h(eps) plus the xlog2x terms of S(rho), each <= 0;
+        # both sides sum h(eps) from the same eps and 1 - eps, so no slack
+        eps = error_probability(p, x0)
+        assert sec.rate_lower_bound(p, x0) <= 1.0 - matkit.binary_entropy(eps)
 
 
 class TestOptimizeRate:
