@@ -10,7 +10,9 @@ Conventions used throughout the package:
   semidefinite.
 
 States are value objects: a CM, a displacement vector (DV), and nothing else.
-All operations are pure functions.
+All operations are pure functions.  In the symmetric two-mode family every
+threshold decay ``exp(-k x0^2)`` takes ``k`` from :func:`symmetric_exponents`
+and is applied by :func:`_log_decay` alone.
 """
 
 import math
@@ -329,6 +331,25 @@ def symmetric_exponents(p):
     minus, plus = p.lam - p.cx, p.lam + p.cx
     r = 4.0 * p.cx / (minus * plus)
     return r, 2.0 * (p.lam - p.cp) - 2.0 / plus, 2.0 * (p.lam + p.cp) - 2.0 / minus
+
+
+def _decay_rows(k):
+    """The per-state half of the decay ``exp(-k x0^2)``: the rows ``-k`` and
+    the mask ``k > 0``.  Overlaps never exceed 1, so a negative ``k`` is
+    rounding at the pure boundary or the -1e-9 physicality band; taken as is
+    it would blow up at huge thresholds, so the mask drops it."""
+    return -k, k > 0
+
+
+def _log_decay(rows, x0):
+    """The per-threshold half: ``-k x0^2`` from :func:`_decay_rows`, broadcast
+    against ``x0``; 0 where ``k <= 0`` or ``x0^2`` underflows, ``k = inf``
+    included, where the plain product would be NaN.  ``x0^2`` may overflow to
+    ``inf``, as meant, under the caller's ``np.errstate(over="ignore")``."""
+    neg_k, positive = rows
+    x2 = np.square(x0, dtype=float)
+    mask = positive & (x2 > 0)
+    return np.multiply(neg_k, x2, out=np.zeros(mask.shape), where=mask)
 
 
 def symmetric_embed(p):

@@ -2,9 +2,10 @@
 
 Both parties homodyne the X quadrature of a symmetric two-mode state and keep
 only outcomes with ``|x| ~ x0`` on both sides; the outcome signs become raw
-key bits.  This module provides the closed-form error probabilities of that
-postselection, the block advantage-distillation recursion, and a seeded
-Monte-Carlo simulator of the whole procedure.
+key bits.  This module provides the closed-form error probability of that
+postselection, read from the threshold decay of :mod:`gausskey.gaussian`, the
+block advantage-distillation recursion, and a seeded Monte-Carlo simulator of
+the whole procedure.
 
 The closed forms are stated in the zero-width postselection limit; the
 simulator accepts outcomes inside a finite window around ``x0`` and converges
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import matkit
 from .errors import InvalidInput
-from .gaussian import symmetric_exponents
+from .gaussian import _decay_rows, _log_decay, symmetric_exponents
 
 _SIFT_CHUNK = 1 << 18
 _MAX_CHUNKS = 1 << matkit.Rng.CHILD_BITS  # one substream per chunk
@@ -84,43 +85,17 @@ def pair_covariance(p):
     return 0.5 * np.array([[p.lam, p.cx], [p.cx, p.lam]])
 
 
-def _exponent(k, x0):
-    """``k * x0^2`` for an exponent ``k`` of
-    :func:`~gausskey.gaussian.symmetric_exponents`: overflow to ``inf`` is
-    meant, and ``k <= 0`` gives 0 at every threshold, ``x0^2 = inf``
-    included.  Overlaps of normalized states never exceed 1, so a negative
-    ``k`` is rounding at the pure boundary or the ``-1e-9`` physicality band;
-    taken as is it would blow up at huge thresholds."""
-    k = np.asarray(k, dtype=float)
-    with np.errstate(over="ignore"):
-        return _masked_product(k, k > 0, np.square(x0, dtype=float))
-
-
-def _masked_product(k, positive, x2):
-    """``k * x2`` where the mask ``positive`` (``k > 0``) holds and ``x2 > 0``,
-    else 0: an underflowed ``x0^2 = 0`` gives 0 for every ``k``, ``k = inf``
-    included, where the plain product would be NaN."""
-    mask = positive & (x2 > 0)
-    return np.multiply(k, x2, out=np.zeros(mask.shape), where=mask)
-
-
-def error_from_exponent(a):
-    """``1 / (1 + exp(a))`` for an exponent ``a >= 0``, evaluated as
-    ``exp(-a) / (1 + exp(-a))`` so that no ``a`` up to ``inf`` overflows;
-    elementwise on arrays."""
-    e = np.exp(-a)
-    return e / (1.0 + e)
-
-
 def error_probability(p, x0):
-    """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``
-    with ``r`` from :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0``
-    gives 1/2 at every threshold, ``x0 = inf`` included; a NaN ``x0`` raises
-    ``InvalidInput``."""
+    """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``,
+    read as ``g / (1 + g)`` from the decay ``g = exp(-r x0^2)``, ``r`` from
+    :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0`` gives 1/2 at
+    every threshold, ``x0 = inf`` included; a NaN ``x0`` raises ``InvalidInput``."""
     x0 = float(x0)
     if math.isnan(x0):
         raise InvalidInput("x0 must not be NaN")
-    return float(error_from_exponent(_exponent(symmetric_exponents(p)[0], x0)))
+    with np.errstate(over="ignore"):
+        g = np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[0]), x0))
+    return float(g / (1.0 + g))
 
 
 def ad_error(eps, n):

@@ -14,8 +14,9 @@ Their pairwise overlaps drive every security statement here:
 
 On this family the error ratio and every overlap are Gaussian in the
 threshold, so the three per-state exponents of
-:func:`~gausskey.gaussian.symmetric_exponents` give all of the above in closed
-form, and the overlap conditions do not depend on the threshold.
+:func:`~gausskey.gaussian.symmetric_exponents`, applied by the masked decay
+beside them, give all of the above in closed form, and the overlap conditions
+do not depend on the threshold.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -31,6 +32,8 @@ from . import matkit
 from .errors import InvalidInput
 from .gaussian import (
     SymmetricStateParams,
+    _decay_rows,
+    _log_decay,
     condition_on_x,
     npt_symmetric,
     pure_overlap,
@@ -38,7 +41,6 @@ from .gaussian import (
     symmetric_embed,
     symmetric_exponents,
 )
-from .protocol import _exponent, _masked_product, error_from_exponent
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
 
@@ -99,14 +101,6 @@ def _check_x0(x0):
         raise InvalidInput("x0 must be nonzero")
 
 
-def _state_exponents(p):
-    """``[r, q_same, q_diff, q_mix]``, the exponents that build the effective
-    state; ``q_mix = (q_same + q_diff)/4`` belongs to a mixed pair, one
-    concordant and one discordant sign pair."""
-    r, q_same, q_diff = symmetric_exponents(p)
-    return np.array([r, q_same, q_diff, 0.25 * (q_same + q_diff)])
-
-
 def eve_ensemble(p, x0):
     """Purify the embedded state, condition the purifying modes on the four
     sign combinations of ``(x_A, x_B) = (+-x0, +-x0)``, and collect the
@@ -138,7 +132,8 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(-_exponent(symmetric_exponents(p)[1], x0)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[1]), x0)))
 
 
 def _secure(p, attack):
@@ -176,42 +171,36 @@ def effective_state(p, x0):
     spectrum of :func:`rate_lower_bound`.
     """
     _check_x0(x0)
-    r, q_same, q_diff, q_mix = _state_exponents(p)
-    q = np.full((4, 4), q_mix)
-    q[0, 1] = q[1, 0] = q_same
-    q[2, 3] = q[3, 2] = q_diff
-    np.fill_diagonal(q, 0.0)
-    gram = np.exp(-_exponent(q, x0))
-    eps = float(error_from_exponent(_exponent(r, x0)))
+    r, q_same, q_diff = symmetric_exponents(p)
+    k = np.array([r, q_same, q_diff, 0.25 * (q_same + q_diff)])
+    with np.errstate(over="ignore"):
+        g_r, g_same, g_diff, g_mix = np.exp(_log_decay(_decay_rows(k), x0)).tolist()
+    gram = np.full((4, 4), g_mix)
+    gram[0, 1] = gram[1, 0] = g_same
+    gram[2, 3] = gram[3, 2] = g_diff
+    np.fill_diagonal(gram, 1.0)
+    eps = g_r / (1.0 + g_r)
     c = np.sqrt(np.array([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2]))
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
 def _rate_rows(p, ndim=1):
-    """The per-state part of :func:`rate_lower_bound`: the rows ``-k`` for
+    """The per-state part of :func:`rate_lower_bound`: the decay rows of
     ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2``, shaped
-    ``(6, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds, and
-    their mask ``k > 0``.  Each numpy call of :func:`_rate_kernel` then covers
-    all six rows, as its overhead dominates the short arrays."""
-    r, q_same, q_diff, q_mix = _state_exponents(p).tolist()
+    ``(6, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds.
+    Each numpy call of :func:`_rate_kernel` then covers all six rows, as its
+    overhead dominates the short arrays."""
+    r, q_same, q_diff = symmetric_exponents(p)
+    q_mix = 0.25 * (q_same + q_diff)
     k = np.array([r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff])
-    k = k.reshape((6,) + (1,) * ndim)
-    return -k, k > 0
-
-
-def _decay_exponents(rows, x0):
-    """``-k x0^2`` for each of the :func:`_rate_rows`, 0 where
-    :func:`~gausskey.protocol._exponent` gives 0.  ``x0^2`` may overflow to
-    ``inf``, so callers hold ``np.errstate(over="ignore")``."""
-    neg_k, positive = rows
-    return _masked_product(neg_k, positive, np.square(x0, dtype=float))
+    return _decay_rows(k.reshape((6,) + (1,) * ndim))
 
 
 def _rate_kernel(rows, x0):
     """The per-threshold part of :func:`rate_lower_bound`: the rate at the
     nonzero thresholds ``x0`` from the state's :func:`_rate_rows`, under the
     caller's ``np.errstate(over="ignore")``."""
-    neg = _decay_exponents(rows, x0)
+    neg = _log_decay(rows, x0)
     g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
     eps = g[0] / (1.0 + g[0])
     one_minus_eps = 1.0 - eps
@@ -221,7 +210,7 @@ def _rate_kernel(rows, x0):
     det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
     # the spectrum and (eps, 1 - eps), summed as entropy_bits and binary_entropy do
     w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, one_minus_eps])
-    if not (np.isfinite(w).all() and w[:4].min() >= -1e-9 and w[4:].min() >= 0.0):
+    if not (np.isfinite(w).all() and w[:4].min(initial=0.0) >= -1e-9 and w[4:].min(initial=0.0) >= 0.0):
         raise InvalidInput(f"rate weights must be finite and nonnegative, got min {w.min()}")
     s0, s1, s2, s3, e0, e1 = matkit._xlog2x(np.maximum(w, 0.0))
     return (1.0 + (e0 + e1)) + (((s0 + s1) + s2) + s3)
@@ -366,7 +355,7 @@ def build_report(p, x0_max=5.0):
     rows = _rate_rows(p)
     with np.errstate(over="ignore"):
         best_x0, rate = _best_rate(rows, x0_max)
-        g_r, g_same = np.exp(_decay_exponents(rows, best_x0)[:2, 0])
+        g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
     return SecurityReport(
         nppt=npt_symmetric(p),
         individual_secure=individual,

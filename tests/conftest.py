@@ -1,3 +1,5 @@
+import ast
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,20 @@ def random_symmetric_params(rng, lam_range=(1.0, 4.0), exclusion=0.0):
         if exclusion and abs(lam**2 + cx * cp - 1.0 - lam * (cx + cp)) < exclusion:
             continue
         return p
+
+
+def package_imports(module):
+    """The gausskey modules that ``module``'s source imports, by short name."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gausskey")):
+            name = (node.module or "").removeprefix("gausskey").lstrip(".")
+            used |= {name} if name else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            used |= {a.name.removeprefix("gausskey.") for a in node.names if a.name.startswith("gausskey")}
+    return used
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gausskey import cli
 
@@ -11,6 +15,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """:func:`run` without the function-scoped ``capsys``, for use under ``@given``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestAnalyze:
@@ -152,6 +164,15 @@ class TestSimulate:
         _, out1, _ = run(capsys, *SIM_ARGS, "--workers", "1")
         _, out2, _ = run(capsys, *SIM_ARGS, "--workers", "4")
         assert out1 == out2
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(st.integers((1 << 18) + 1, 3 << 18), st.integers(0, 2**64 - 1))
+    def test_byte_identical_across_workers_property(self, pairs, seed):
+        # more than one chunk of 2^18 pairs, so two workers really split them
+        argv = (*SIM_ARGS[:9], "--window", "0.05", "--pairs", str(pairs), "--seed", str(seed))
+        one = run_captured(*argv, "--workers", "1")
+        assert one[0] == 0 and one[2] == ""
+        assert run_captured(*argv, "--workers", "2") == one
 
     def test_empirical_matches_theory(self, capsys):
         code, out, _ = run(
@@ -577,3 +598,106 @@ class TestParseParity:
             cli._parse(list(argv))
         assert want.value.code == got.value.code == 0
         assert capsys.readouterr().out == want_out and want_out.startswith("usage: gausskey")
+
+
+# extreme, non-finite and malformed spellings of a number
+_ODD_NUMBERS = (
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "1e-320", "-0", "0", "1e6",
+    "2.5", "", " ", "abc", "1,5", "0x10", "1_000", "--", "-1",
+)
+# ordinary values, mostly valid and physical, so that draws get past the parse
+_PLAIN = {
+    "--lambda": ("1.5", "2", "3"), "--cx": ("1", "0.5"), "--cp": ("0.5", "0"),
+    "--window": ("0.05", "0.3"), "--block-n": ("1", "2", "3"), "--seed": ("7", "12345"),
+}
+# (command, flag) -> values within the run-time budget: at most 2 workers,
+# 10^5 pairs and 5 frontier steps; an odd value there is a malformed one
+_BUDGET = {
+    ("simulate", "--workers"): st.integers(-1, 2),
+    ("simulate", "--pairs"): st.sampled_from((20_000, 100_000)) | st.integers(-2, 10**5),
+    ("frontier", "--steps"): st.integers(2, 5) | st.integers(-2, 1),
+}
+_MALFORMED_INTS = st.sampled_from(("1e5", "2.5", "nan", "", "abc", "0x10", "--"))
+# flags every draw carries: the state, so that draws get past the missing
+# value check, and the costly counts, so that none falls back to its default
+_ALWAYS = {
+    "analyze": ("--lambda", "--cx", "--cp"),
+    "simulate": ("--lambda", "--cx", "--cp", "--x0", "--pairs"),
+    "frontier": ("--steps",),
+}
+_CONFIGS = {
+    "empty.cfg": b"",
+    "binary.cfg": b"\xff\xfe\x00lambda=1\n",
+    "no-equals.cfg": b"lambda 1.5\n",
+    "unknown-key.cfg": b"nonsense=1\n",
+    "empty-key.cfg": b"=1\n",
+    "help.cfg": b"help=1\n",
+    "malformed.cfg": b"lambda=abc\ncx=nan\ncp=\n",
+    "extreme.cfg": b"lambda=1e308\ncx=1e308\ncp=1e307\nx0=1e-320\nx0_max=1e400\n",
+    "non-finite.cfg": b"lambda=inf\ncx=-inf\ncp=nan\nc_max=inf\n",
+    "valid.cfg": b"lambda=1.5\ncx=1\ncp=1\nx0=1\nworkers=2\n",
+    "nested.cfg": b"config=nested.cfg\n",
+}
+
+
+def _flag_table():
+    """Per subcommand, each option of the real parser with its value type and choices."""
+    return {
+        name: {
+            a.option_strings[-1]: (a.type, a.choices)
+            for a in sp._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, sp in cli.build_parser().commands.items()
+    }
+
+
+def _value(command, flag, kind, choices, odd, paths):
+    """The strategy for one flag's value: ordinary, or odd when ``odd``;
+    ``paths[flag]`` for a flag that takes a file."""
+    if (command, flag) in _BUDGET:
+        return _MALFORMED_INTS if odd else _BUDGET[command, flag].map(str)
+    if choices:
+        return st.sampled_from([*choices, "bogus", ""] if odd else choices)
+    plain = st.sampled_from(_PLAIN.get(flag, ("0.5", "1", "2")))
+    if kind is float:
+        return st.sampled_from(_ODD_NUMBERS) | st.floats().map(repr) if odd else plain
+    if kind is int:
+        return st.sampled_from(_ODD_NUMBERS) | st.integers(-(2**70), 2**70).map(str) if odd else plain
+    return paths[flag]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory of bad and good ``--config`` files, shared by every draw."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, body in _CONFIGS.items():
+        (root / name).write_bytes(body)
+    return root
+
+
+class TestFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_exit_code_and_one_stderr_line(self, fuzz_dir, data):
+        table = _flag_table()
+        command = data.draw(st.sampled_from(sorted(table)))
+        flags = table[command]
+        extra = data.draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True))
+        chosen = list(dict.fromkeys(_ALWAYS.get(command, ()) + tuple(extra)))
+        odd = data.draw(st.sets(st.sampled_from(chosen), max_size=2)) if chosen else set()
+        # outputs go beside the config files, never over them
+        names = {
+            "--config": [*_CONFIGS, "missing.cfg", "."],
+            "--out": ["out.txt", "missing/out.txt", "."],
+        }
+        paths = {flag: st.sampled_from(n).map(lambda name: str(fuzz_dir / name)) for flag, n in names.items()}
+        argv = [command]
+        for flag in chosen:
+            argv += [flag, data.draw(_value(command, flag, *flags[flag], flag in odd, paths))]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_captured(*argv)
+        lines = err.splitlines() + [str(w.message) for w in caught]
+        assert code in (0, 1, 2, 3), argv
+        assert len(lines) <= 1 and "Traceback" not in err, (argv, lines)

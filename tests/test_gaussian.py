@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -394,6 +396,21 @@ class TestSymmetricFamily:
             for triple in ((bad, 1.0, 1.0), (1.5, bad, 1.0), (1.5, 1.0, bad)):
                 with pytest.raises(InvalidInput, match="finite"):
                     g.SymmetricStateParams(*triple)
+
+
+class TestDecay:
+    def test_log_decay_table(self):
+        # rows: k = -1e-15 (rounding below 0), 0, 0.5, inf; columns: an x0
+        # whose square underflows, 1, and one whose square overflows
+        k = np.array([-1e-15, 0.0, 0.5, np.inf])
+        x0 = np.array([1e-170, 1.0, 1e200])
+        want = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.5, -np.inf], [0.0, -np.inf, -np.inf]])
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")
+            assert np.array_equal(g._log_decay(g._decay_rows(k[:, None]), x0), want)
+            for i, kk in enumerate(k.tolist()):
+                for j, xx in enumerate(x0.tolist()):
+                    assert g._log_decay(g._decay_rows(kk), xx) == want[i, j], (kk, xx)
 
 
 class TestGaussianState:

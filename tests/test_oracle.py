@@ -1,11 +1,10 @@
-import ast
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_physical_cm
+from conftest import package_imports, random_physical_cm
 from gausskey import gaussian as g, oracle as o
 from gausskey.errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 
@@ -412,12 +411,5 @@ class TestGridReducedSpectrum:
 
 def test_oracle_imports_only_matkit_and_errors():
     # the oracle stays independent of the covariance-matrix layer it checks
-    tree = ast.parse(open(o.__file__).read())
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gausskey")):
-            module = (node.module or "").removeprefix("gausskey").lstrip(".")
-            used |= {module} if module else {a.name for a in node.names}
-        elif isinstance(node, ast.Import):
-            used |= {a.name.removeprefix("gausskey.") for a in node.names if a.name.startswith("gausskey")}
+    used = package_imports(o)
     assert used == {"matkit", "errors"}

@@ -7,7 +7,7 @@ import pytest
 from gausskey import matkit
 from gausskey import protocol as pr
 from gausskey.errors import InvalidInput
-from gausskey.gaussian import SymmetricStateParams
+from gausskey.gaussian import SymmetricStateParams, symmetric_exponents
 
 P111 = SymmetricStateParams(1.5, 1.0, 1.0)
 EPS111 = 1.0 / (1.0 + np.exp(3.2))
@@ -51,8 +51,10 @@ class TestErrorProbability:
         assert pr.error_probability(SymmetricStateParams(2.0, 0.0, 0.0), 1e200) == 0.5
 
     def test_exponent_form_matches_logistic(self):
-        a = np.array([0.0, 1e-3, 0.5, 3.0, 30.0])
-        assert np.abs(pr.error_from_exponent(a) - 1.0 / (1.0 + np.exp(a))).max() < 1e-16
+        # x0 = sqrt(a / r) puts the exponent r x0^2 at a
+        r = symmetric_exponents(P111)[0]
+        for a in (0.0, 1e-3, 0.5, 3.0, 30.0):
+            assert abs(pr.error_probability(P111, math.sqrt(a / r)) - 1.0 / (1.0 + np.exp(a))) < 1e-16, a
 
     def test_degenerate_pole(self):
         # lam == cx zeroes r's denominator; (lam - cx)(lam + cp) = 0 < 1, so

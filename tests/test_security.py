@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_symmetric_params
+from conftest import package_imports, random_symmetric_params
 from gausskey import matkit, protocol, security as sec
 from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
@@ -264,6 +264,13 @@ class TestAttackConditions:
             p = random_symmetric_params(rng, exclusion=1e-9)
             assert sec.any_x0_secure(p, grid, sec.INDIVIDUAL) == npt_symmetric(p)
 
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params())
+    def test_nppt_iff_individual(self, p):
+        # outside a rounding band around the NPPT boundary (lam - cx)(lam - cp) = 1
+        assume(abs((p.lam - p.cx) * (p.lam - p.cp) - 1.0) >= 1e-9)
+        assert sec.any_x0_secure(p, attack=sec.INDIVIDUAL) == npt_symmetric(p)
+
 
 class TestAnyX0Secure:
     def test_agrees_with_pointwise_predicates(self):
@@ -330,6 +337,11 @@ class TestRateBound:
             want = 1.0 - matkit.binary_entropy(eps)
             assert abs(sec.rate_lower_bound(p, x0) - want) < 1e-9
             assert sec.rate_lower_bound(p, x0) > 0
+
+    def test_empty_thresholds(self):
+        # elementwise over arrays: no thresholds give no rates
+        for shape in ((0,), (2, 0)):
+            assert sec.rate_lower_bound(P111, np.empty(shape)).shape == shape
 
     def test_product_state_nonpositive(self):
         assert sec.rate_lower_bound(SymmetricStateParams(1.0, 0.0, 0.0), 1.0) <= 0.0
@@ -484,3 +496,8 @@ class TestBuildReport:
             scans.clear()
             sec.build_report(SymmetricStateParams(*state))
             assert scans == [64] * count, state
+
+
+def test_security_imports_only_matkit_errors_and_gaussian():
+    # the decay rule lives beside symmetric_exponents, so security needs no protocol
+    assert package_imports(sec) == {"matkit", "errors", "gaussian"}
