@@ -6,7 +6,8 @@ Monte-Carlo of the measurement + distillation protocol, JSON), and
 ``oracle-check`` (grid-oracle agreement suite).
 
 Values may come from flags, from a ``key=value`` config file (``--config``),
-or from the defaults that ``--help`` shows, in that precedence order.  Config entries are parsed as
+or from the defaults that ``--help`` shows, in that precedence order.  Config keys
+are exact flag names (``_`` may stand for ``-``); entries are parsed as
 ``--key=value`` flags placed ahead of the command line, so they get the same
 type and choice checks and the real flags win.  Exit codes: 0 success, 1 usage
 or parse error, 2 domain error (unphysical parameters), 3 internal numerical
@@ -42,6 +43,18 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # exact option string -> its Action, for _parse's plain pass; made
+        # after argparse's own -h/--help, which stays argparse's alone
+        self.flags = {}
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if hasattr(self, "flags"):
+            self.flags.update(dict.fromkeys(action.option_strings, action))
+        return action
+
     # argparse exits with status 2 on bad usage; this project reserves 2 for
     # domain errors, so route usage problems through exit code 1 instead
     def error(self, message):
@@ -70,8 +83,9 @@ def _dump_json(obj, out_path):
     _emit(json.dumps(obj, indent=2) + "\n", out_path)
 
 
-def _read_config(path):
-    """The ``key=value`` lines of a config file as ``--key=value`` tokens."""
+def _read_config(path, flags):
+    """The ``key=value`` lines of a config file as ``--key=value`` tokens;
+    each key, with ``_`` read as ``-``, must name one of ``flags`` exactly."""
     tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -84,8 +98,13 @@ def _read_config(path):
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag == "--config":
+            raise _UsageError(f"{path}:{lineno}: key 'config' is not allowed in a config file")
+        if flag not in flags:
+            raise _UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        tokens.append(f"{flag}={val}")
     return tokens
 
 
@@ -168,16 +187,45 @@ def _parser():
     return build_parser()
 
 
+def _plain_pass(flags, argv):
+    """The namespace argparse would give an ``argv`` of ``--flag value`` and
+    ``--flag=value`` pairs, each flag an exact key of ``flags`` and each value
+    free of a leading ``-`` and accepted by its type and choices; ``None`` for
+    any other ``argv``, whose help, abbreviations, errors and leading dashes
+    only argparse handles."""
+    values = {action.dest: action.default for action in flags.values()}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a flag without a value declines below
+        action = flags.get(flag)
+        if action is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
 def _parse(argv):
     """``_parser().parse_args(argv)``, parsing ``argv`` once: a leading
-    subcommand name hands the rest straight to that subcommand's parser,
-    which is all the top-level parser would do with it.  Anything else (no
-    command, an unknown one, ``--help``) goes through the top-level parser."""
+    subcommand name hands the rest to :func:`_plain_pass` and, when that
+    declines, to that subcommand's parser, which is all the top-level parser
+    would do with it.  Anything else (no command, an unknown one, ``--help``)
+    goes through the top-level parser."""
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    args = _plain_pass(command.flags, argv[1:])
+    if args is None:
+        args = command.parse_args(argv[1:])
     args.command = argv[0]
     return args
 
@@ -360,7 +408,8 @@ def main(argv=None):
         args = _parse(argv)
         if args.config:
             # the command comes first: the top-level parser has no options
-            args = _parse(argv[:1] + _read_config(args.config) + argv[1:])
+            flags = _parser().commands[args.command].flags
+            args = _parse(argv[:1] + _read_config(args.config, flags) + argv[1:])
         handler = {
             "analyze": cmd_analyze,
             "frontier": cmd_frontier,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gausskey import cli
 
@@ -701,3 +702,114 @@ class TestFuzz:
         lines = err.splitlines() + [str(w.message) for w in caught]
         assert code in (0, 1, 2, 3), argv
         assert len(lines) <= 1 and "Traceback" not in err, (argv, lines)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("line, message", [
+        ("config=other.cfg", "key 'config' is not allowed in a config file"),
+        ("=1", "unknown key ''"),
+        ("help=1", "unknown key 'help'"),
+        ("lam=1.5", "unknown key 'lam'"),  # argparse would take it as an abbreviation
+    ], ids=["config", "empty", "help", "prefix"])
+    def test_key_must_name_a_flag_exactly(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"cx=1\ncp = 1\n{line}\n")
+        assert run(capsys, "analyze", "--config", str(cfg)) == (1, "", f"error: {cfg}:3: {message}\n")
+
+
+_ROUTE_ARGVS = [argv for argv, *_ in GOLDEN] + [("oracle-check", "--level", "full")]
+
+
+def _refuse(self, *args, **kwargs):
+    raise LookupError("argparse reached")
+
+
+class TestParseRoute:
+    """Well-formed argvs take the plain pass; argparse parses only the rest."""
+
+    @pytest.mark.parametrize("argv", _ROUTE_ARGVS)
+    def test_well_formed_argv_skips_argparse(self, argv, monkeypatch):
+        want = vars(cli.build_parser().parse_args(list(argv)))
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse)
+        assert vars(cli._parse(list(argv))) == want
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--lam", "1.5"),
+        ("analyze", "-h"),
+        ("analyze", "--cx", "abc"),
+    ])
+    def test_other_argv_reaches_argparse(self, argv, monkeypatch):
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse)
+        with pytest.raises(LookupError, match="argparse reached"):
+            cli._parse(list(argv))
+
+    def test_tables_are_the_subparsers_options(self):
+        for name, sp in cli.build_parser().commands.items():
+            actions = {
+                option: action
+                for action in sp._actions
+                for option in action.option_strings
+                if option.startswith("--") and option != "--help"
+            }
+            assert sorted(sp.flags) == sorted(actions), name
+            for flag, action in sp.flags.items():
+                want = actions[flag]
+                assert (action.dest, action.type, action.choices, action.default) == (
+                    want.dest, want.type, want.choices, want.default), (name, flag)
+            # the defaults the plain pass starts from are the ones argparse gives
+            assert {a.dest: a.default for a in sp.flags.values()} == vars(sp.parse_args([])), name
+
+
+def _parse_outcome(parse, argv):
+    """What parsing ``argv`` gives: a namespace, a usage error or an exit with help text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(list(argv))
+    except cli._UsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    # by repr: a NaN value is not equal to itself
+    return "args", repr(sorted(vars(args).items()))
+
+
+_TABLES = _flag_table()
+_PARITY_VALUES = (
+    "-1", " -2", "--", "-", "-x", "", " ", "abc", "nan", "1e400", "0x10", "1_000", "bogus", "2.5", "3",
+    *sorted({c for table in _TABLES.values() for _, choices in table.values() if choices for c in choices}),
+)
+_PARITY_ODD_FLAGS = ("--lam", "--nope", "-h", "--", "x")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then up to four pieces: mostly one of its flags as
+    ``--f v`` or ``--f=v``, so that some argvs are well formed, and otherwise
+    an odd token or a flag as ``--f v``, ``--f=v`` or a bare ``--f``."""
+    command = draw(st.sampled_from(sorted(_TABLES)))
+    flags = sorted(_TABLES[command])
+    plain = st.sampled_from([(flag, form) for flag in flags for form in ("pair", "joined")])
+    odd = st.sampled_from([
+        (flag, form) for flag in [*flags, *_PARITY_ODD_FLAGS] for form in ("pair", "joined", "bare")
+    ])
+    argv = [command]
+    for _ in range(draw(st.integers(0, 4))):
+        flag, form = draw(plain if draw(st.integers(0, 3)) else odd)
+        value = draw(st.sampled_from(_PARITY_VALUES))
+        argv += {"pair": [flag, value], "joined": [f"{flag}={value}"], "bare": [flag]}[form]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def full_parser():
+    return cli.build_parser()
+
+
+class TestPlainPassParity:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(argv=_argvs())
+    @example(argv=["analyze", "--out=--"])  # argparse stores out=[]
+    @example(argv=["frontier", "--out", "-x"])  # argparse reads -x as an option
+    def test_same_outcome_as_the_full_parser(self, full_parser, argv):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(full_parser.parse_args, argv)
