@@ -32,7 +32,6 @@ from .gaussian import (
     symmetric_embed,
     symmetric_exponents,
     symplectic_spectrum,
-    vacuum,
     williamson,
     xxpp_indices,
 )

@@ -43,18 +43,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # exact option string -> its Action, for _parse's plain pass; made
-        # after argparse's own -h/--help, which stays argparse's alone
-        self.flags = {}
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if hasattr(self, "flags"):
-            self.flags.update(dict.fromkeys(action.option_strings, action))
-        return action
-
     # argparse exits with status 2 on bad usage; this project reserves 2 for
     # domain errors, so route usage problems through exit code 1 instead
     def error(self, message):
@@ -177,6 +165,10 @@ def build_parser():
     sp.add_argument("--level", choices=("quick", "full"), default="quick",
                     help="quick skips the 4-mode sector checks (default %(default)s)")
     _add_common(sp)
+    for sp in parser.commands.values():
+        # exact long option -> its Action, for _parse's plain pass; --help stays argparse's
+        sp.flags = {option: action for action in sp._actions for option in action.option_strings
+                    if option.startswith("--") and option != "--help"}
     return parser
 
 
@@ -214,18 +206,16 @@ def _plain_pass(flags, argv):
 
 
 def _parse(argv):
-    """``_parser().parse_args(argv)``, parsing ``argv`` once: a leading
-    subcommand name hands the rest to :func:`_plain_pass` and, when that
-    declines, to that subcommand's parser, which is all the top-level parser
-    would do with it.  Anything else (no command, an unknown one, ``--help``)
-    goes through the top-level parser."""
+    """``_parser().parse_args(argv)``: a leading subcommand name hands the
+    rest to :func:`_plain_pass`.  Whatever that declines (help,
+    abbreviations, errors), and an argv that names no subcommand, goes
+    through the top-level parser, which hands it to the subparser; that
+    path is cold."""
     parser = _parser()
     command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _plain_pass(command.flags, argv[1:])
+    args = None if command is None else _plain_pass(command.flags, argv[1:])
     if args is None:
-        args = command.parse_args(argv[1:])
+        return parser.parse_args(argv)
     args.command = argv[0]
     return args
 
@@ -295,8 +285,9 @@ def cmd_simulate(args):
     bits = protocol.simulate_sifting(params, cfg, base.substream(0), workers=args.workers)
     accepted = len(bits.alice)
     eps_th = protocol.error_probability(params, cfg.x0)
-    if accepted == 0:
-        print("no pairs accepted; enlarge --pairs or --window", file=sys.stderr)
+    if accepted < cfg.block_n:
+        few = f"only {accepted} pairs accepted, fewer than --block-n {cfg.block_n}"
+        print(f"{few if accepted else 'no pairs accepted'}; enlarge --pairs or --window", file=sys.stderr)
         return _EXIT_NUMERICAL
     eps_emp = float(np.mean(bits.alice != bits.bob))
     outcome = protocol.simulate_advantage_distillation(bits, cfg.block_n, base.substream(1))

@@ -17,9 +17,9 @@ class NotPSD(GaussKeyError):
 class EvaluationError(GaussKeyError):
     """An objective function returned a non-finite value."""
 
-    def __init__(self, x, message=None):
+    def __init__(self, x):
         self.x = x
-        super().__init__(message or f"objective returned a non-finite value at x={x!r}")
+        super().__init__(f"objective returned a non-finite value at x={x!r}")
 
 
 class IllConditioned(GaussKeyError):

@@ -85,11 +85,6 @@ class GaussianState:
         return self.cm.shape[0] // 2
 
 
-def vacuum(n):
-    """The n-mode vacuum state."""
-    return GaussianState(np.eye(2 * n), np.zeros(2 * n))
-
-
 def is_physical(cm):
     """True iff ``cm + i J`` has no eigenvalue below ``-1e-9``."""
     cm = _check_cm(cm)

@@ -58,9 +58,6 @@ class Rng:
             raise InvalidInput(f"substream index must be in [0, 2**{self.CHILD_BITS})")
         return Rng(self.seed, (self.stream << self.CHILD_BITS) + int(index) + 1)
 
-    def standard_normal(self, shape):
-        return self.generator.standard_normal(shape)
-
     def bits(self, n):
         """n uniform random bits as a uint8 array."""
         return self.generator.integers(0, 2, size=int(n), dtype=np.uint8)
@@ -148,7 +145,7 @@ def sample_mvn(cov, n, rng):
     if w.min(initial=0.0) < -1e-8:
         raise NotPSD(f"covariance has eigenvalue {w.min()}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    z = rng.standard_normal((int(n), cov.shape[0]))
+    z = rng.generator.standard_normal((int(n), cov.shape[0]))
     return z @ root
 
 

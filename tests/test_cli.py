@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import json
 import tracemalloc
@@ -373,6 +374,13 @@ GOLDEN = [
         '    "eps_n": 0.00256861959234\n  }\n}\n',
         "",
     ),
+    (
+        ("simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", "--x0", "1", "--pairs", "100000",
+         "--block-n", "100"),
+        3,
+        "",
+        "only 9 pairs accepted, fewer than --block-n 100; enlarge --pairs or --window\n",
+    ),
 ]
 
 
@@ -742,6 +750,19 @@ class TestParseRoute:
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", _refuse)
         with pytest.raises(LookupError, match="argparse reached"):
             cli._parse(list(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--lam", "1.5"),
+        ("analyze", "-h"),
+        ("analyze", "--cx", "abc"),
+        ("frontier", "--steps", "-1"),
+    ])
+    def test_declined_argv_goes_through_the_full_parser(self, argv, monkeypatch):
+        # the top-level parser reaches a subparser through parse_known_args,
+        # never through its parse_args
+        for sp in cli._parser().commands.values():
+            monkeypatch.setattr(sp, "parse_args", functools.partial(_refuse, sp))
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli.build_parser().parse_args, argv)
 
     def test_tables_are_the_subparsers_options(self):
         for name, sp in cli.build_parser().commands.items():

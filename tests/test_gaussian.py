@@ -230,7 +230,7 @@ class TestPurify:
 
 class TestConditionOnX:
     def test_uncorrelated_modes_unchanged(self):
-        cond = g.condition_on_x(g.vacuum(2), (0,), np.array([0.7]))
+        cond = g.condition_on_x(g.GaussianState(np.eye(4), np.zeros(4)), (0,), np.array([0.7]))
         assert np.array_equal(cond.state.cm, np.eye(2))
         assert np.array_equal(cond.state.dv, np.zeros(2))
 
@@ -304,7 +304,7 @@ class TestConditionOnX:
             g.condition_on_x(st, (0,), np.array([0.5]))
 
     def test_rejects_bad_measured_sets(self):
-        st = g.vacuum(2)
+        st = g.GaussianState(np.eye(4), np.zeros(4))
         with pytest.raises(InvalidInput):
             g.condition_on_x(st, (), np.zeros(0))
         with pytest.raises(InvalidInput):
@@ -425,6 +425,6 @@ class TestGaussianState:
             g.GaussianState(np.eye(2), np.zeros(3))
 
     def test_immutability(self):
-        st = g.vacuum(1)
+        st = g.GaussianState(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             st.cm[0, 0] = 2.0

@@ -299,24 +299,24 @@ class TestEntropyBits:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = matkit.Rng(42).standard_normal(16)
-        b = matkit.Rng(42).standard_normal(16)
+        a = matkit.Rng(42).generator.standard_normal(16)
+        b = matkit.Rng(42).generator.standard_normal(16)
         assert np.array_equal(a, b)
 
     def test_substreams_disjoint_and_reproducible(self):
         base = matkit.Rng(42)
-        s0 = base.substream(0).standard_normal(64)
-        s1 = base.substream(1).standard_normal(64)
-        again = matkit.Rng(42).substream(0).standard_normal(64)
+        s0 = base.substream(0).generator.standard_normal(64)
+        s1 = base.substream(1).generator.standard_normal(64)
+        again = matkit.Rng(42).substream(0).generator.standard_normal(64)
         assert np.array_equal(s0, again)
         assert not np.array_equal(s0, s1)
 
     def test_substream_independent_of_parent_draws(self):
         base = matkit.Rng(42)
-        base.standard_normal(1000)
+        base.generator.standard_normal(1000)
         assert np.array_equal(
-            base.substream(3).standard_normal(8),
-            matkit.Rng(42).substream(3).standard_normal(8),
+            base.substream(3).generator.standard_normal(8),
+            matkit.Rng(42).substream(3).generator.standard_normal(8),
         )
 
     def test_rejects_bad_seed(self):
