@@ -12,7 +12,8 @@ Conventions used throughout the package:
 States are value objects: a CM, a displacement vector (DV), and nothing else.
 All operations are pure functions.  In the symmetric two-mode family every
 threshold decay ``exp(-k x0^2)`` takes ``k`` from :func:`symmetric_exponents`
-and is applied by :func:`_log_decay` alone.
+and is applied by :func:`_log_decay` alone, which also owns the overflow of
+``x0^2`` to ``inf``: no other module sets numpy's error state.
 """
 
 import math
@@ -339,12 +340,14 @@ def _decay_rows(k):
 def _log_decay(rows, x0):
     """The per-threshold half: ``-k x0^2`` from :func:`_decay_rows`, broadcast
     against ``x0``; 0 where ``k <= 0`` or ``x0^2`` underflows, ``k = inf``
-    included, where the plain product would be NaN.  ``x0^2`` may overflow to
-    ``inf``, as meant, under the caller's ``np.errstate(over="ignore")``."""
+    included, where the plain product would be NaN.  ``x0^2`` and the product
+    may overflow to ``inf``, as meant, so this is the one place that silences
+    numpy's overflow warning; callers need no ``np.errstate``."""
     neg_k, positive = rows
-    x2 = np.square(x0, dtype=float)
-    mask = positive & (x2 > 0)
-    return np.multiply(neg_k, x2, out=np.zeros(mask.shape), where=mask)
+    with np.errstate(over="ignore"):
+        x2 = np.square(x0, dtype=float)
+        mask = positive & (x2 > 0)
+        return np.multiply(neg_k, x2, out=np.zeros(mask.shape), where=mask)
 
 
 def symmetric_embed(p):

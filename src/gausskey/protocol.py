@@ -3,9 +3,10 @@
 Both parties homodyne the X quadrature of a symmetric two-mode state and keep
 only outcomes with ``|x| ~ x0`` on both sides; the outcome signs become raw
 key bits.  This module provides the closed-form error probability of that
-postselection, read from the threshold decay of :mod:`gausskey.gaussian`, the
-block advantage-distillation recursion, and a seeded Monte-Carlo simulator of
-the whole procedure.
+postselection, read from the threshold decay of :mod:`gausskey.gaussian`
+(which handles a threshold whose square overflows), the block
+advantage-distillation recursion, and a seeded Monte-Carlo simulator of the
+whole procedure.
 
 The closed forms are stated in the zero-width postselection limit; the
 simulator accepts outcomes inside a finite window around ``x0`` and converges
@@ -93,8 +94,7 @@ def error_probability(p, x0):
     x0 = float(x0)
     if math.isnan(x0):
         raise InvalidInput("x0 must not be NaN")
-    with np.errstate(over="ignore"):
-        g = np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[0]), x0))
+    g = np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[0]), x0))
     return float(g / (1.0 + g))
 
 

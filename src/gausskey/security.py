@@ -16,7 +16,8 @@ On this family the error ratio and every overlap are Gaussian in the
 threshold, so the three per-state exponents of
 :func:`~gausskey.gaussian.symmetric_exponents`, applied by the masked decay
 beside them, give all of the above in closed form, and the overlap conditions
-do not depend on the threshold.
+do not depend on the threshold.  That decay takes care of a threshold whose
+square overflows, so nothing here touches numpy's error state.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -132,8 +133,7 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    with np.errstate(over="ignore"):
-        return float(np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[1]), x0)))
+    return float(np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[1]), x0)))
 
 
 def _secure(p, attack):
@@ -173,8 +173,7 @@ def effective_state(p, x0):
     _check_x0(x0)
     r, q_same, q_diff = symmetric_exponents(p)
     k = np.array([r, q_same, q_diff, 0.25 * (q_same + q_diff)])
-    with np.errstate(over="ignore"):
-        g_r, g_same, g_diff, g_mix = np.exp(_log_decay(_decay_rows(k), x0)).tolist()
+    g_r, g_same, g_diff, g_mix = np.exp(_log_decay(_decay_rows(k), x0)).tolist()
     gram = np.full((4, 4), g_mix)
     gram[0, 1] = gram[1, 0] = g_same
     gram[2, 3] = gram[3, 2] = g_diff
@@ -198,8 +197,7 @@ def _rate_rows(p, ndim=1):
 
 def _rate_kernel(rows, x0):
     """The per-threshold part of :func:`rate_lower_bound`: the rate at the
-    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`, under the
-    caller's ``np.errstate(over="ignore")``."""
+    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`."""
     neg = _log_decay(rows, x0)
     g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
     eps = g[0] / (1.0 + g[0])
@@ -233,14 +231,12 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     _check_x0(x0)
-    with np.errstate(over="ignore"):
-        rate = _rate_kernel(_rate_rows(p, np.ndim(x0)), x0)
+    rate = _rate_kernel(_rate_rows(p, np.ndim(x0)), x0)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def _best_rate(rows, x0_max):
-    """:func:`optimize_rate` on a state's :func:`_rate_rows`, under the
-    caller's ``np.errstate(over="ignore")``."""
+    """:func:`optimize_rate` on a state's :func:`_rate_rows`."""
     if not (np.isfinite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be positive")
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
@@ -273,9 +269,7 @@ def optimize_rate(p, x0_max=5.0):
     The state's :func:`_rate_rows` are built once; each scan runs only
     :func:`_rate_kernel`.
     """
-    rows = _rate_rows(p)
-    with np.errstate(over="ignore"):
-        return _best_rate(rows, x0_max)
+    return _best_rate(_rate_rows(p), x0_max)
 
 
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
@@ -353,9 +347,8 @@ def build_report(p, x0_max=5.0):
     """
     individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
     rows = _rate_rows(p)
-    with np.errstate(over="ignore"):
-        best_x0, rate = _best_rate(rows, x0_max)
-        g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
+    best_x0, rate = _best_rate(rows, x0_max)
+    g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
     return SecurityReport(
         nppt=npt_symmetric(p),
         individual_secure=individual,

@@ -551,8 +551,9 @@ _POINT = ("--lambda", "1.5", "--cx", "1", "--cp", "1")
 
 
 class TestParseParity:
-    """``cli._parse`` hands a leading subcommand's argv straight to that
-    subcommand's parser; every outcome must be the full parser's."""
+    """``cli._parse`` reads a leading subcommand's argv in a plain pass and
+    sends every argv that pass declines, or that names no subcommand, to the
+    full parser; every outcome must be the full parser's."""
 
     @pytest.mark.parametrize("argv", [
         ("analyze", *_POINT),

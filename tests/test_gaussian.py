@@ -1,3 +1,4 @@
+import pathlib
 import warnings
 
 import numpy as np
@@ -401,16 +402,24 @@ class TestSymmetricFamily:
 class TestDecay:
     def test_log_decay_table(self):
         # rows: k = -1e-15 (rounding below 0), 0, 0.5, inf; columns: an x0
-        # whose square underflows, 1, and one whose square overflows
+        # whose square underflows, 1, and one whose square overflows; the
+        # decay owns that overflow, so a caller's over="raise" cannot reach it
         k = np.array([-1e-15, 0.0, 0.5, np.inf])
         x0 = np.array([1e-170, 1.0, 1e200])
         want = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.5, -np.inf], [0.0, -np.inf, -np.inf]])
-        with warnings.catch_warnings(), np.errstate(over="ignore"):
+        with warnings.catch_warnings(), np.errstate(over="raise"):
             warnings.simplefilter("error")
             assert np.array_equal(g._log_decay(g._decay_rows(k[:, None]), x0), want)
             for i, kk in enumerate(k.tolist()):
                 for j, xx in enumerate(x0.tolist()):
                     assert g._log_decay(g._decay_rows(kk), xx) == want[i, j], (kk, xx)
+
+    def test_only_gaussian_sets_errstate(self):
+        # the threshold decay handles its own overflow, so no caller needs
+        # to know that x0^2 may be inf
+        src = pathlib.Path(g.__file__).parent
+        holders = {path.stem for path in src.glob("*.py") if "errstate" in path.read_text()}
+        assert holders == {"gaussian"}
 
 
 class TestGaussianState:

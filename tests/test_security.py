@@ -165,6 +165,24 @@ class TestHugeThresholds:
             assert 0.0 <= sec.eve_overlap(p, 1e200) <= 1.0
             assert abs(sec.rate_lower_bound(p, 1e200) - eigh_rate(p, 1e200)) < 1e-12, p
 
+    def test_caller_error_state_does_not_reach_the_decay(self):
+        # every route returns what it returns under numpy's default error
+        # state even when the caller turns overflow into an exception
+        calls = (
+            lambda: error_probability(P111, 1e200),
+            lambda: sec.eve_overlap(P111, 1e200),
+            lambda: sec.effective_state(P111, 1e200).rho,
+            lambda: sec.rate_lower_bound(P111, 1e200),
+            lambda: sec.build_report(SymmetricStateParams(1e160, 1.0, 0.0), x0_max=1e300),
+            # every exponent of the vacuum is 0, so its search runs up to 1e300
+            lambda: sec.build_report(SymmetricStateParams(1.0, 0.0, 0.0), x0_max=1e300),
+        )
+        for call in calls:
+            want = call()
+            with np.errstate(over="raise"):
+                got = call()
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
     def test_limits(self):
         # no decay on the pure boundary, none of the error ratio at cx = 0
         for pure in (SymmetricStateParams(1.25, 0.75, 0.75), pure_boundary_params(2.6)):
