@@ -50,10 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x):
-    """Floats rounded to 12 significant digits for stable golden outputs."""
-    if isinstance(x, float):
-        return float(f"{x:.12g}")
-    return x
+    """A float rounded to 12 significant digits for stable golden outputs."""
+    return float(f"{x:.12g}")
 
 
 def _emit(text, out_path):
@@ -322,15 +320,14 @@ def _oracle_checks(level):
     ref = np.pi**-0.25 * np.exp(-(ax.nodes**2) / 2.0)
     yield ("vacuum wavefunction", float(np.abs(vac.amplitudes - ref).max()), 0.0, 1e-12)
 
-    disp = oracle.wavefunction_from_pure(np.eye(2), np.array([2.0, 0.0]), ax)
+    d1, d2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
+    disp = oracle.wavefunction_from_pure(np.eye(2), d1, ax)
     ov = oracle.grid_overlap(vac, disp)
     yield ("displaced overlap magnitude", abs(ov) ** 2, float(np.exp(-2.0)), 1e-5)
 
     # complex-valued check pins the overlap phase convention
-    d1, d2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-    wa = oracle.wavefunction_from_pure(np.eye(2), d1, ax)
     wb = oracle.wavefunction_from_pure(np.eye(2), d2, ax)
-    got = oracle.grid_overlap(wa, wb)
+    got = oracle.grid_overlap(disp, wb)
     want = pure_overlap(np.eye(2), d1, d2)
     yield ("overlap phase convention", abs(got - want), 0.0, 1e-6)
 
@@ -348,7 +345,7 @@ def _oracle_checks(level):
     coarse = oracle.GridAxis(-8.0, 8.0, 101)
     ov_coarse = oracle.grid_overlap(
         oracle.wavefunction_from_pure(np.eye(2), np.zeros(2), coarse),
-        oracle.wavefunction_from_pure(np.eye(2), np.array([2.0, 0.0]), coarse),
+        oracle.wavefunction_from_pure(np.eye(2), d1, coarse),
     )
     yield ("grid refinement stability", abs(abs(ov_coarse) ** 2 - abs(ov) ** 2), 0.0, 4e-5)
 

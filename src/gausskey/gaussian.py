@@ -50,14 +50,14 @@ def xxpp_indices(n):
     return np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]
 
 
-def _check_cm(cm, name="cm"):
+def _check_cm(cm):
     cm = np.asarray(cm, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
-        raise InvalidInput(f"{name} must be square with even dimension")
+        raise InvalidInput("cm must be square with even dimension")
     if not np.all(np.isfinite(cm)):
-        raise InvalidInput(f"{name} has non-finite entries")
+        raise InvalidInput("cm has non-finite entries")
     if np.abs(cm - cm.T).max() > 1e-12 * (1.0 + np.abs(cm).max()):
-        raise InvalidInput(f"{name} must be symmetric")
+        raise InvalidInput("cm must be symmetric")
     return 0.5 * (cm + cm.T)
 
 

@@ -97,7 +97,7 @@ def _sparse(vectors):
 
 def _pure_form(cm, dv, axis):
     """Check a pure state against the grid as :func:`wavefunction_from_pure`
-    does and return ``(axis, m, xbar, pbar)``, the terms of its exponent."""
+    does and return ``(m, xbar, pbar)``, the terms of its exponent."""
     cm = np.asarray(cm, dtype=float)
     dv = np.asarray(dv, dtype=float)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
@@ -110,8 +110,6 @@ def _pure_form(cm, dv, axis):
     spec = _local_symplectic_spectrum(cm)
     if np.abs(spec - 1.0).max() > 1e-6:
         raise InvalidInput("state is not pure")
-    if not isinstance(axis, GridAxis):
-        axis = GridAxis(*axis)
 
     xbar = dv[0::2]
     pbar = dv[1::2]
@@ -127,7 +125,7 @@ def _pure_form(cm, dv, axis):
     u = np.linalg.inv(a)
     v = -u @ b
     v = 0.5 * (v + v.T)
-    return axis, u + 1j * v, xbar, pbar
+    return u + 1j * v, xbar, pbar
 
 
 def _exponent(m, xbar, pbar, nodes):
@@ -155,13 +153,13 @@ def _exponent(m, xbar, pbar, nodes):
 
 
 def wavefunction_from_pure(cm, dv, axis):
-    """Tabulate the wavefunction of a pure Gaussian state on the grid.
+    """Tabulate the wavefunction of a pure Gaussian state on the :class:`GridAxis` ``axis``.
 
     Raises ``InvalidInput`` for mixed states and ``GridTooSmall`` when the
     grid covers less than 6 standard deviations of some position marginal
     around its mean.
     """
-    axis, m, xbar, pbar = _pure_form(cm, dv, axis)
+    m, xbar, pbar = _pure_form(cm, dv, axis)
     psi = _exponent(m, xbar, pbar, [axis.nodes] * len(xbar))
     np.exp(psi, out=psi)
     psi /= np.sqrt(_norm2(psi, axis))
@@ -245,19 +243,19 @@ def grid_sector_states(cm, dv, axis, x0):
     sign combinations of ``(+-x0, +-x0)``, tabulated straight from the pure
     state, without the full grid.
 
-    ``cm, dv`` is a 3- or 4-mode purification with the honest modes first.
-    Each sector is the 2D slice of the exponent with modes 0 and 1 pinned to
-    their snapped nodes, normalized by its own norm.  Returns ``(weights,
-    states)`` in the sector order ``++, --, +-, -+``: the sector
-    probabilities given postselection, as ratios of squared slice norms, and
-    the normalized conditional wavefunctions.  The global normalization
-    cancels from both.  Raises ``OutcomeUnlikely`` when a slice has no
-    support on the grid: its squared norm is below 1e-300 on the scale where
-    the amplitude peaks at 1.
+    ``cm, dv`` is a 3- or 4-mode purification with the honest modes first and
+    ``axis`` a :class:`GridAxis`.  Each sector is the 2D slice of the exponent
+    with modes 0 and 1 pinned to their snapped nodes, normalized by its own
+    norm.  Returns ``(weights, states)`` in the sector order ``++, --, +-, -+``:
+    the sector probabilities given postselection, as ratios of squared slice
+    norms, and the normalized conditional wavefunctions.  The global
+    normalization cancels from both.  Raises ``OutcomeUnlikely`` when a
+    slice has no support on the grid: its squared norm is below 1e-300 on
+    the scale where the amplitude peaks at 1.
     """
     if not x0 > 0:
         raise InvalidInput("x0 must be positive")
-    axis, m, xbar, pbar = _pure_form(cm, dv, axis)
+    m, xbar, pbar = _pure_form(cm, dv, axis)
     if len(xbar) < 3:
         raise InvalidInput("need a purification with at least one adversary mode")
     nodes = axis.nodes

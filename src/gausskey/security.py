@@ -197,7 +197,13 @@ def _rate_rows(p, ndim=1):
 
 def _rate_kernel(rows, x0):
     """The per-threshold part of :func:`rate_lower_bound`: the rate at the
-    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`."""
+    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`.  Its six
+    weights need no check or clip, being finite and ``>= 0`` for every state
+    the family admits: :func:`~gausskey.gaussian._log_decay` keeps each
+    log-decay in ``[-inf, 0]``, so each ``g`` and ``1 - g`` (``expm1``) is in
+    ``[0, 1]``, ``eps`` in ``[0, 1/2]``, ``a^2`` in ``[1/4, 1/2]``, ``b^2`` in
+    ``[0, 1/4]``, ``lambda_+ >= a^2 (1 + g_same) >= 1/4`` and the determinant
+    is ``a^2 b^2`` times a sum of squares."""
     neg = _log_decay(rows, x0)
     g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
     eps = g[0] / (1.0 + g[0])
@@ -206,11 +212,9 @@ def _rate_kernel(rows, x0):
     big, small = a2 * (1.0 + g[1]), b2 * (1.0 + g[2])
     top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * g[3])
     det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
-    # the spectrum and (eps, 1 - eps), summed as entropy_bits and binary_entropy do
+    # the spectrum and (eps, 1 - eps), summed in entropy_bits' and binary_entropy's order
     w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, one_minus_eps])
-    if not (np.isfinite(w).all() and w[:4].min(initial=0.0) >= -1e-9 and w[4:].min(initial=0.0) >= 0.0):
-        raise InvalidInput(f"rate weights must be finite and nonnegative, got min {w.min()}")
-    s0, s1, s2, s3, e0, e1 = matkit._xlog2x(np.maximum(w, 0.0))
+    s0, s1, s2, s3, e0, e1 = matkit._xlog2x(w)
     return (1.0 + (e0 + e1)) + (((s0 + s1) + s2) + s3)
 
 
@@ -238,7 +242,7 @@ def rate_lower_bound(p, x0):
 def _best_rate(rows, x0_max):
     """:func:`optimize_rate` on a state's :func:`_rate_rows`."""
     if not (np.isfinite(x0_max) and x0_max > 0):
-        raise InvalidInput("x0_max must be positive")
+        raise InvalidInput("x0_max must be finite and positive")
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
     # a term with k = inf is 0 at every threshold; two roots, because 746 / k
     # overflows for k below 4e-306

@@ -47,6 +47,13 @@ def package_imports(module):
     return used
 
 
+def assert_rejects(call, message):
+    """``call()`` raises ``InvalidInput`` itself, not a subclass, with exactly ``message``."""
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert info.type is InvalidInput and str(info.value) == message
+
+
 @pytest.fixture(scope="session")
 def purified_symmetric_111():
     """Purification of the (1.5, 1, 1) state, shared by several oracle tests."""

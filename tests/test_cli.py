@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gausskey import cli
+from gausskey.errors import IllConditioned
 
 
 def run(capsys, *argv):
@@ -267,6 +268,12 @@ class TestDomainErrors:
         assert err == ("domain error: x0_max=1e-320 leaves no positive search range "
                        "[1e-6 x0_max, x0_max]\n")
 
+    @pytest.mark.parametrize("x0_max", ["-1", "inf", "nan"])
+    def test_bad_x0_max_names_it(self, capsys, x0_max):
+        code, out, err = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1",
+                             "--x0-max", x0_max)
+        assert (code, out, err) == (2, "", "domain error: x0_max must be finite and positive\n")
+
     def test_usage_errors_come_first(self, capsys):
         # a missing value or a bad worker count is exit 1 even on a bad state
         for argv in (
@@ -277,6 +284,17 @@ class TestDomainErrors:
         ):
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "" and len(err.strip().splitlines()) == 1, (argv, err)
+
+
+class TestNumericalFailure:
+    def test_other_package_errors_exit_3_in_one_line(self, capsys, monkeypatch):
+        # any package error but InvalidInput is a numerical failure, not a domain error
+        def ill(*args, **kwargs):
+            raise IllConditioned("CM is numerically singular")
+
+        monkeypatch.setattr(cli.security, "build_report", ill)
+        code, out, err = run(capsys, "analyze", "--lambda", "1.5", "--cx", "1", "--cp", "1")
+        assert (code, out, err) == (3, "", "numerical failure: CM is numerically singular\n")
 
 
 class TestHugeThresholds:

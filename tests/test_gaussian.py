@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_physical_cm, random_symmetric_params
+from conftest import assert_rejects, random_physical_cm, random_symmetric_params
 from gausskey import gaussian as g
 from gausskey import matkit
 from gausskey.errors import IllConditioned, InvalidInput
@@ -437,3 +437,26 @@ class TestGaussianState:
         st = g.GaussianState(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             st.cm[0, 0] = 2.0
+
+
+_THERMAL_PURIFIED = g.purify(g.GaussianState(np.diag([2.0, 2.0]), np.zeros(2)))
+
+
+class TestInputChecks:
+    # input checks that no other test takes, each with its exact message
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: g.GaussianState(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.zeros(2)),
+                     "cm has non-finite entries", id="state-nonfinite-cm"),
+        pytest.param(lambda: g.GaussianState(np.eye(2), np.array([np.inf, 0.0])),
+                     "dv has non-finite entries", id="state-nonfinite-dv"),
+        pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (2,), [0.0]),
+                     "measured mode index out of range", id="condition-mode-too-high"),
+        pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (-1,), [0.0]),
+                     "measured mode index out of range", id="condition-mode-negative"),
+        pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (0,), [np.nan]),
+                     "outcomes must be finite", id="condition-nonfinite-outcome"),
+        pytest.param(lambda: g.pure_overlap(np.eye(2), np.zeros(3), np.zeros(2)),
+                     "displacement length must match the CM dimension", id="overlap-dv-length"),
+    ])
+    def test_rejects(self, call, message):
+        assert_rejects(call, message)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import assert_rejects
 from gausskey import matkit
 from gausskey.errors import EvaluationError, InvalidInput, NotPSD
 
@@ -324,3 +325,29 @@ class TestRng:
             matkit.Rng(-1)
         with pytest.raises(InvalidInput):
             matkit.Rng(2**64)
+
+
+class TestInputChecks:
+    # input checks that no other test takes, each with its exact message
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: matkit.eigh(np.ones((2, 3))), "matrix must be square",
+                     id="eigh-non-square"),
+        pytest.param(lambda: matkit.eigh(np.eye(65)), "kernel supports dimension 64 at most",
+                     id="eigh-dimension-65"),
+        pytest.param(lambda: matkit.pseudo_inverse(np.ones(3)), "matrix must be two-dimensional",
+                     id="pinv-1d"),
+        pytest.param(lambda: matkit.sample_mvn(np.ones((2, 3)), 2, matkit.Rng(0)), "cov must be square",
+                     id="mvn-non-square"),
+        pytest.param(lambda: matkit.sample_mvn(np.array([[1.0, 0.5], [0.0, 1.0]]), 2, matkit.Rng(0)),
+                     "cov must be symmetric", id="mvn-asymmetric"),
+        pytest.param(lambda: matkit.Rng(1, -1), "stream must be an integer in [0, 2**60)",
+                     id="rng-stream-negative"),
+        pytest.param(lambda: matkit.Rng(1, 2**60), "stream must be an integer in [0, 2**60)",
+                     id="rng-stream-too-high"),
+        pytest.param(lambda: matkit.Rng(1).substream(-1), "substream index must be in [0, 2**20)",
+                     id="substream-negative"),
+        pytest.param(lambda: matkit.Rng(1).substream(2**20), "substream index must be in [0, 2**20)",
+                     id="substream-too-high"),
+    ])
+    def test_rejects(self, call, message):
+        assert_rejects(call, message)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import package_imports, random_physical_cm
+from conftest import assert_rejects, package_imports, random_physical_cm
 from gausskey import gaussian as g, oracle as o
 from gausskey.errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 
@@ -407,6 +407,41 @@ class TestGridReducedSpectrum:
         weights, states = sectors4
         with pytest.raises(InvalidInput):
             o.grid_reduced_spectrum(weights[:3], states[:3])
+
+
+_AXIS = o.GridAxis(-8.0, 8.0, 41)
+_TINY = o.GridAxis(-1.0, 1.0, 3)
+_VACUUM2 = o.wavefunction_from_pure(np.eye(4), np.zeros(4), _AXIS)
+
+
+class TestInputChecks:
+    # input checks that no other test takes, each with its exact message
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: o.wavefunction_from_pure(np.eye(3), np.zeros(3), _AXIS),
+                     "CM must be square with even dimension", id="pure-odd-cm"),
+        pytest.param(lambda: o.wavefunction_from_pure(np.eye(10), np.zeros(10), _AXIS),
+                     "at most 4 modes on the grid", id="pure-five-modes"),
+        pytest.param(lambda: o.wavefunction_from_pure(np.eye(2), np.zeros(3), _AXIS),
+                     "DV length must match the CM", id="pure-dv-length"),
+        pytest.param(lambda: o.GridWavefunction(_TINY, np.array(1.0)),
+                     "between 1 and 4 modes supported", id="wavefunction-0d"),
+        pytest.param(lambda: o.GridWavefunction(_TINY, np.ones((3,) * 5)),
+                     "between 1 and 4 modes supported", id="wavefunction-5d"),
+        pytest.param(lambda: o.GridWavefunction(_TINY, np.ones(5)),
+                     "amplitude array shape must match the axis", id="wavefunction-shape"),
+        pytest.param(lambda: o.GridWavefunction(_TINY, np.ones(3)),
+                     "wavefunction norm^2 is 3.0, not 1", id="wavefunction-norm"),
+        pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [2], [0.0]),
+                     "measured axis out of range", id="condition-axis-range"),
+        pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [0, 1], [0.0, 0.0]),
+                     "measured axes must be a proper non-empty subset", id="condition-all-axes"),
+        pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [], []),
+                     "measured axes must be a proper non-empty subset", id="condition-no-axis"),
+        pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [0], [0.0, 1.0]),
+                     "need one outcome per measured axis", id="condition-outcome-count"),
+    ])
+    def test_rejects(self, call, message):
+        assert_rejects(call, message)
 
 
 def test_oracle_imports_only_matkit_and_errors():

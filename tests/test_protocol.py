@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_rejects
 from gausskey import matkit
 from gausskey import protocol as pr
 from gausskey.errors import InvalidInput
@@ -319,3 +320,24 @@ class TestConfigValidation:
     def test_mismatched_bits_rejected(self):
         with pytest.raises(InvalidInput):
             pr.SiftedBits(np.zeros(2, np.uint8), np.zeros(3, np.uint8), 0.5)
+
+
+_NO_BITS = pr.SiftedBits(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.0)
+
+
+class TestInputChecks:
+    # input checks that no other test takes, each with its exact message
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: pr.ad_error(0.1, 0), "block size must be at least 1", id="ad-block-0"),
+        pytest.param(lambda: pr.ad_error_bound(1.0, 2), "eps must lie in [0, 1)", id="bound-eps-1"),
+        pytest.param(lambda: pr.ad_error_bound(-0.1, 2), "eps must lie in [0, 1)",
+                     id="bound-eps-negative"),
+        pytest.param(lambda: pr.simulate_advantage_distillation(_NO_BITS, 2, matkit.Rng(0)),
+                     "no sifted bits to distill", id="distill-empty"),
+        pytest.param(lambda: pr.SiftedBits(np.zeros(1, np.uint8), np.zeros(1, np.uint8), 1.5),
+                     "acceptance rate must be a probability", id="sifted-rate-above-1"),
+        pytest.param(lambda: pr.SiftedBits(np.zeros(1, np.uint8), np.zeros(1, np.uint8), -0.1),
+                     "acceptance rate must be a probability", id="sifted-rate-negative"),
+    ])
+    def test_rejects(self, call, message):
+        assert_rejects(call, message)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import package_imports, random_symmetric_params
+from conftest import assert_rejects, package_imports, random_symmetric_params
 from gausskey import matkit, protocol, security as sec
 from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
@@ -443,6 +443,14 @@ class TestFrontier:
             solid, dashed = sec.frontier_rails(c)
             assert solid < lam_star <= dashed, c
 
+    def test_lower_rail_without_key(self):
+        # at c = 1e-9 the best rate on the lifted lower rail is below the rate
+        # floor, so the frontier is that rail and no bisection runs
+        c = 1e-9
+        lo = math.sqrt(1.0 + c * c) * (1.0 + 1e-12) + 1e-12
+        assert sec.optimize_rate(SymmetricStateParams(lo, c, c))[1] <= sec._RATE_FLOOR
+        assert sec.security_frontier([c], sec.GENERAL) == [(c, lo)]
+
     def test_rejects_bad_grid(self):
         with pytest.raises(InvalidInput):
             sec.security_frontier(np.array([]), sec.INDIVIDUAL)
@@ -514,6 +522,18 @@ class TestBuildReport:
             scans.clear()
             sec.build_report(SymmetricStateParams(*state))
             assert scans == [64] * count, state
+
+
+class TestInputChecks:
+    # input checks that no other test takes, each with its exact message
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: sec.security_frontier([1.0], "nope"), "unknown attack kind 'nope'",
+                     id="frontier-attack"),
+        pytest.param(lambda: sec.any_x0_secure(SymmetricStateParams(1.5, 1.0, 1.0), attack="nope"),
+                     "unknown attack kind 'nope'", id="any-x0-attack"),
+    ])
+    def test_rejects(self, call, message):
+        assert_rejects(call, message)
 
 
 def test_security_imports_only_matkit_errors_and_gaussian():
