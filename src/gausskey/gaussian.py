@@ -11,7 +11,7 @@ Conventions used throughout the package:
 
 States are value objects: a CM, a displacement vector (DV), and nothing else.
 All operations are pure functions.  In the symmetric two-mode family every
-threshold decay ``exp(-k x0^2)`` takes ``k`` from :func:`symmetric_exponents`
+threshold decay ``exp(-k x0^2)`` is a row of the per-state :func:`_decay_table`
 and is applied by :func:`_log_decay` alone, which also owns the overflow of
 ``x0^2`` to ``inf``: no other module sets numpy's error state.
 """
@@ -335,6 +335,23 @@ def _decay_rows(k):
     rounding at the pure boundary or the -1e-9 physicality band; taken as is
     it would blow up at huge thresholds, so the mask drops it."""
     return -k, k > 0
+
+
+def _decay_table(p, ndim=0):
+    """The :func:`_decay_rows` of every decay the family's closed forms read,
+    ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2, q_mix``, shaped
+    ``(7, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds."""
+    r, q_same, q_diff = symmetric_exponents(p)
+    q_mix = 0.25 * (q_same + q_diff)
+    k = np.array([r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff, q_mix])
+    return _decay_rows(k.reshape((7,) + (1,) * ndim))
+
+
+def _decays_at(p, x0):
+    """The seven decays of :func:`_decay_table` at one threshold, as floats."""
+    if np.ndim(x0) != 0 or math.isnan(x0):
+        raise InvalidInput("x0 must be one number, not an array or NaN")
+    return np.exp(_log_decay(_decay_table(p), x0)).tolist()
 
 
 def _log_decay(rows, x0):

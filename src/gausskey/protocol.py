@@ -3,7 +3,7 @@
 Both parties homodyne the X quadrature of a symmetric two-mode state and keep
 only outcomes with ``|x| ~ x0`` on both sides; the outcome signs become raw
 key bits.  This module provides the closed-form error probability of that
-postselection, read from the threshold decay of :mod:`gausskey.gaussian`
+postselection, read from the decay table of :mod:`gausskey.gaussian`
 (which handles a threshold whose square overflows), the block
 advantage-distillation recursion, and a seeded Monte-Carlo simulator of the
 whole procedure.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import matkit
 from .errors import InvalidInput
-from .gaussian import _decay_rows, _log_decay, symmetric_exponents
+from .gaussian import _decays_at
 
 _SIFT_CHUNK = 1 << 18
 _MAX_CHUNKS = 1 << matkit.Rng.CHILD_BITS  # one substream per chunk
@@ -88,14 +88,11 @@ def pair_covariance(p):
 
 def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``,
-    read as ``g / (1 + g)`` from the decay ``g = exp(-r x0^2)``, ``r`` from
-    :func:`~gausskey.gaussian.symmetric_exponents`; ``cx = 0`` gives 1/2 at
-    every threshold, ``x0 = inf`` included; a NaN ``x0`` raises ``InvalidInput``."""
-    x0 = float(x0)
-    if math.isnan(x0):
-        raise InvalidInput("x0 must not be NaN")
-    g = np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[0]), x0))
-    return float(g / (1.0 + g))
+    read as ``g / (1 + g)`` from the decay ``g = exp(-r x0^2)``, row 0 of the
+    state's decay table; ``cx = 0`` gives 1/2 at every threshold, ``x0 = inf``
+    included; a NaN or array ``x0`` raises ``InvalidInput``."""
+    g = _decays_at(p, x0)[0]
+    return g / (1.0 + g)
 
 
 def ad_error(eps, n):

@@ -13,11 +13,10 @@ Their pairwise overlaps drive every security statement here:
   effective two-qubit state traced over the adversary.
 
 On this family the error ratio and every overlap are Gaussian in the
-threshold, so the three per-state exponents of
-:func:`~gausskey.gaussian.symmetric_exponents`, applied by the masked decay
-beside them, give all of the above in closed form, and the overlap conditions
-do not depend on the threshold.  That decay takes care of a threshold whose
-square overflows, so nothing here touches numpy's error state.
+threshold, so the state's decay table in :mod:`gausskey.gaussian` gives all
+of the above in closed form, and the overlap conditions do not depend on the
+threshold.  That table's decay takes care of a threshold whose square
+overflows, so nothing here touches numpy's error state.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -33,7 +32,8 @@ from . import matkit
 from .errors import InvalidInput
 from .gaussian import (
     SymmetricStateParams,
-    _decay_rows,
+    _decay_table,
+    _decays_at,
     _log_decay,
     condition_on_x,
     npt_symmetric,
@@ -133,7 +133,7 @@ def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
     _check_x0(x0)
-    return float(np.exp(_log_decay(_decay_rows(symmetric_exponents(p)[1]), x0)))
+    return _decays_at(p, x0)[1]
 
 
 def _secure(p, attack):
@@ -171,9 +171,7 @@ def effective_state(p, x0):
     spectrum of :func:`rate_lower_bound`.
     """
     _check_x0(x0)
-    r, q_same, q_diff = symmetric_exponents(p)
-    k = np.array([r, q_same, q_diff, 0.25 * (q_same + q_diff)])
-    g_r, g_same, g_diff, g_mix = np.exp(_log_decay(_decay_rows(k), x0)).tolist()
+    g_r, g_same, g_diff, *_, g_mix = _decays_at(p, x0)
     gram = np.full((4, 4), g_mix)
     gram[0, 1] = gram[1, 0] = g_same
     gram[2, 3] = gram[3, 2] = g_diff
@@ -183,27 +181,15 @@ def effective_state(p, x0):
     return Effective2x2((c[:, None] * c[None, :]) * gram, eps)
 
 
-def _rate_rows(p, ndim=1):
-    """The per-state part of :func:`rate_lower_bound`: the decay rows of
-    ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2``, shaped
-    ``(6, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds.
-    Each numpy call of :func:`_rate_kernel` then covers all six rows, as its
-    overhead dominates the short arrays."""
-    r, q_same, q_diff = symmetric_exponents(p)
-    q_mix = 0.25 * (q_same + q_diff)
-    k = np.array([r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff])
-    return _decay_rows(k.reshape((6,) + (1,) * ndim))
-
-
 def _rate_kernel(rows, x0):
     """The per-threshold part of :func:`rate_lower_bound`: the rate at the
-    nonzero thresholds ``x0`` from the state's :func:`_rate_rows`.  Its six
-    weights need no check or clip, being finite and ``>= 0`` for every state
-    the family admits: :func:`~gausskey.gaussian._log_decay` keeps each
-    log-decay in ``[-inf, 0]``, so each ``g`` and ``1 - g`` (``expm1``) is in
-    ``[0, 1]``, ``eps`` in ``[0, 1/2]``, ``a^2`` in ``[1/4, 1/2]``, ``b^2`` in
-    ``[0, 1/4]``, ``lambda_+ >= a^2 (1 + g_same) >= 1/4`` and the determinant
-    is ``a^2 b^2`` times a sum of squares."""
+    nonzero thresholds ``x0`` from rows 0-5 of the state's decay table.  Its
+    six weights need no check or clip, being finite and ``>= 0`` for every
+    state the family admits: :func:`~gausskey.gaussian._log_decay` keeps
+    each log-decay in ``[-inf, 0]``, so each ``g`` and ``1 - g`` (``expm1``)
+    is in ``[0, 1]``, ``eps`` in ``[0, 1/2]``, ``a^2`` in ``[1/4, 1/2]``,
+    ``b^2`` in ``[0, 1/4]``, ``lambda_+ >= a^2 (1 + g_same) >= 1/4`` and the
+    determinant is ``a^2 b^2`` times a sum of squares."""
     neg = _log_decay(rows, x0)
     g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
     eps = g[0] / (1.0 + g[0])
@@ -235,18 +221,18 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     _check_x0(x0)
-    rate = _rate_kernel(_rate_rows(p, np.ndim(x0)), x0)
+    rate = _rate_kernel(_decay_table(p, np.ndim(x0)), x0)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def _best_rate(rows, x0_max):
-    """:func:`optimize_rate` on a state's :func:`_rate_rows`."""
+    """:func:`optimize_rate` on a state's decay table."""
     if not (np.isfinite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be finite and positive")
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
     # a term with k = inf is 0 at every threshold; two roots, because 746 / k
     # overflows for k below 4e-306
-    r, _, _, k_mix, k_same, k_diff = (-v for v in rows[0].ravel().tolist())
+    r, _, _, k_mix, k_same, k_diff, _ = (-v for v in rows[0].ravel().tolist())
     k = [v for v in (r, k_same, k_diff, k_mix) if 0.0 < v < math.inf]
     hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
     lo = 1e-6 * hi
@@ -270,10 +256,9 @@ def optimize_rate(p, x0_max=5.0):
     0, so the rate is exactly constant there and a huge ``x0_max`` cannot push
     the search past the optimum.  A subnormal ``x0_max``, for which ``1e-6 hi``
     underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``.
-    The state's :func:`_rate_rows` are built once; each scan runs only
-    :func:`_rate_kernel`.
+    The state's decay table is built once; each scan runs only the kernel.
     """
-    return _best_rate(_rate_rows(p), x0_max)
+    return _best_rate(_decay_table(p, 1), x0_max)
 
 
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
@@ -345,12 +330,12 @@ def build_report(p, x0_max=5.0):
     NPPT comes from :func:`npt_symmetric` rather than the exponents, so the
     report's ``nppt`` and ``individual_secure`` stay two routes to one fact.
     The rate search and the report's ``eps_ab = g_r / (1 + g_r)`` and
-    ``eve_overlap = g_same`` at its best threshold read one set of
-    :func:`_rate_rows`; they match :func:`~gausskey.protocol.error_probability`
-    and :func:`eve_overlap` bit for bit.
+    ``eve_overlap = g_same`` at its best threshold read the decay table that
+    :func:`~gausskey.protocol.error_probability` and :func:`eve_overlap` read,
+    so they match those bit for bit.
     """
     individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
-    rows = _rate_rows(p)
+    rows = _decay_table(p, 1)
     best_x0, rate = _best_rate(rows, x0_max)
     g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
     return SecurityReport(

@@ -338,6 +338,10 @@ class TestInputChecks:
                      "acceptance rate must be a probability", id="sifted-rate-above-1"),
         pytest.param(lambda: pr.SiftedBits(np.zeros(1, np.uint8), np.zeros(1, np.uint8), -0.1),
                      "acceptance rate must be a probability", id="sifted-rate-negative"),
+        pytest.param(lambda: pr.error_probability(P111, np.array([1.0, 2.0])),
+                     "x0 must be one number, not an array or NaN", id="error-probability-2-thresholds"),
+        pytest.param(lambda: pr.error_probability(P111, [1.0]),
+                     "x0 must be one number, not an array or NaN", id="error-probability-1-threshold"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

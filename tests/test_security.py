@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_rejects, package_imports, random_symmetric_params
-from gausskey import matkit, protocol, security as sec
+from gausskey import gaussian, matkit, protocol, security as sec
 from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
 from gausskey.protocol import error_probability
@@ -143,6 +143,25 @@ class TestClosedFormReference:
     def test_rejects_zero_threshold_in_batch(self):
         with pytest.raises(InvalidInput):
             sec.rate_lower_bound(P111, np.array([0.5, 0.0]))
+
+
+class TestAdvantageDistillationRescaling:
+    def test_n_blocks_equal_sqrt_n_threshold(self):
+        # n-block AD leaves the adversary n copies of each conditional state,
+        # so the Gram matrix is raised elementwise to the n-th power and the
+        # sector weights become (1 - eps)^n and eps^n: the closed form at sqrt(n) x0
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            p = random_symmetric_params(rng)
+            x0 = rng.uniform(0.2, 2.0)
+            eps, gram = error_probability(p, x0), sec.eve_ensemble(p, x0).gram
+            for n in (2, 3):
+                w = np.array([(1 - eps) ** n, (1 - eps) ** n, eps**n, eps**n])
+                c = np.sqrt(w / w.sum())
+                rho = (c[:, None] * c[None, :]) * (gram**n).T
+                eff = sec.effective_state(p, math.sqrt(n) * x0)
+                assert np.abs(eff.rho - rho).max() < 1e-13, (p, x0, n)
+                assert abs(eff.eps_ab - protocol.ad_error(eps, n)) < 1e-13, (p, x0, n)
 
 
 class TestHugeThresholds:
@@ -325,7 +344,7 @@ class TestEffectiveState:
     def test_identity_gram_gives_classical_mixture(self, monkeypatch):
         # infinite off-diagonal exponents make the Gram matrix the identity
         r, _, _ = symmetric_exponents(P111)
-        monkeypatch.setattr(sec, "symmetric_exponents", lambda p: (r, np.inf, np.inf))
+        monkeypatch.setattr(gaussian, "symmetric_exponents", lambda p: (r, np.inf, np.inf))
         eff = sec.effective_state(P111, 1.0)
         eps = eff.eps_ab
         want = np.diag([(1 - eps) / 2, (1 - eps) / 2, eps / 2, eps / 2])
@@ -523,6 +542,37 @@ class TestBuildReport:
             sec.build_report(SymmetricStateParams(*state))
             assert scans == [64] * count, state
 
+    def test_builds_one_decay_table(self, monkeypatch):
+        # the rate search and the report's eps and overlap share one table
+        built = []
+        table = sec._decay_table
+
+        def counted(p, ndim=0):
+            built.append(ndim)
+            return table(p, ndim)
+
+        monkeypatch.setattr(sec, "_decay_table", counted)
+        for state in ((1.5, 1.0, 1.0), (2.0, 0.5, 0.5), (1.0, 0.0, 0.0)):
+            built.clear()
+            sec.build_report(SymmetricStateParams(*state))
+            assert len(built) == 1, state
+
+
+def test_overlap_attacks_never_build_a_decay_table(monkeypatch):
+    # their conditions compare the state's exponents, which hold at every
+    # threshold, so no exp(-k x0^2) is evaluated
+    def forbidden(*args):
+        raise AssertionError("an overlap attack built a decay table")
+
+    monkeypatch.setattr(sec, "_decay_table", forbidden)
+    monkeypatch.setattr(gaussian, "_decay_table", forbidden)
+    for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT, sec.COHERENT_AD):
+        assert sec.any_x0_secure(P111, [0.5, 1.0], attack)
+        assert not sec.any_x0_secure(SymmetricStateParams(2.0, 0.5, 0.0), attack=attack)
+    assert sec.coherent_ad_secure(P111, 1.0)
+    for attack in (sec.INDIVIDUAL, sec.COHERENT_AD):
+        assert len(sec.security_frontier([0.5, 1.0, 2.0], attack)) == 3
+
 
 class TestInputChecks:
     # input checks that no other test takes, each with its exact message
@@ -531,6 +581,15 @@ class TestInputChecks:
                      id="frontier-attack"),
         pytest.param(lambda: sec.any_x0_secure(SymmetricStateParams(1.5, 1.0, 1.0), attack="nope"),
                      "unknown attack kind 'nope'", id="any-x0-attack"),
+        # one state at several thresholds would mix the table's rows and thresholds
+        pytest.param(lambda: sec.effective_state(P111, np.array([1.0, 2.0, 3.0, 4.0])),
+                     "x0 must be one number, not an array or NaN", id="effective-state-4-thresholds"),
+        pytest.param(lambda: sec.effective_state(P111, np.full(7, 1.0)),
+                     "x0 must be one number, not an array or NaN", id="effective-state-7-thresholds"),
+        pytest.param(lambda: sec.effective_state(P111, [1.0]),
+                     "x0 must be one number, not an array or NaN", id="effective-state-1-threshold"),
+        pytest.param(lambda: sec.eve_overlap(P111, np.array([1.0, 2.0])),
+                     "x0 must be one number, not an array or NaN", id="eve-overlap-2-thresholds"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)
