@@ -128,7 +128,7 @@ def build_parser():
 
     sp = sub.add_parser("analyze", help="security report for one parameter point")
     _add_param_flags(sp)
-    sp.add_argument("--x0-max", dest="x0_max", type=float, default=5.0,
+    sp.add_argument("--x0-max", dest="x0_max", type=float, default=security.X0_MAX,
                     help="upper end of the threshold search range (default %(default)s)")
     _add_common(sp)
 

@@ -16,6 +16,7 @@ and is applied by :func:`_log_decay` alone, which also owns the overflow of
 ``x0^2`` to ``inf``: no other module sets numpy's error state.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -192,6 +193,15 @@ def purify(state):
     return GaussianState(cm, dv)
 
 
+def _in_units(*arrays):
+    """``k`` and the arrays divided by ``2^k``, with ``k`` putting their
+    largest entry in ``[1, 2)``.  Scaling by a power of two is exact, so sums
+    and products of the scaled arrays round as the originals' would, but
+    cannot overflow."""
+    k = math.frexp(float(max(np.abs(a).max() for a in arrays)))[1] - 1
+    return k, [np.ldexp(a, -k) for a in arrays]
+
+
 @dataclass(frozen=True)
 class ConditionalGaussian:
     """A Gaussian state of the unmeasured modes after ideal X homodyne.
@@ -214,7 +224,8 @@ def condition_on_x(state, measured_modes, outcomes):
     with ``x`` the X quadratures of the measured modes and ``r`` every
     quadrature of the others.  ``G_xx`` is a principal block of the CM, so
     it is positive definite for a physical state; a singular one raises
-    :class:`IllConditioned`.
+    :class:`IllConditioned`.  The displacement is computed in the units of
+    :func:`_in_units`; one past the float range raises :class:`InvalidInput`.
     """
     n = state.n_modes
     modes = sorted(set(int(m) for m in measured_modes))
@@ -238,8 +249,11 @@ def condition_on_x(state, measured_modes, outcomes):
 
     cm_c = state.cm[np.ix_(r_idx, r_idx)] - gain @ g_rx.T
     cm_c = 0.5 * (cm_c + cm_c.T)
-    dv_c = state.dv[r_idx] + gain @ (outcomes - state.dv[x_idx])
-    return ConditionalGaussian(GaussianState(cm_c, dv_c))
+    k, (outcomes, dv) = _in_units(outcomes, state.dv)
+    dv_c = dv[r_idx] + gain @ (outcomes - dv[x_idx])
+    if math.frexp(float(np.abs(dv_c).max()))[1] + k > 1024:
+        raise InvalidInput("conditioned displacement exceeds the float range")
+    return ConditionalGaussian(GaussianState(cm_c, np.ldexp(dv_c, k)))
 
 
 def pure_overlap(cm, d1, d2):
@@ -247,7 +261,10 @@ def pure_overlap(cm, d1, d2):
 
     ``|result|^2 = exp(-1/2 delta . cm^{-1} . delta)`` with ``delta = d2 - d1``
     and a phase of ``exp(+i/2 d1 . J . d2)`` in the grid-oracle convention
-    (see module constant).  Equals 1 when ``d1 == d2``.
+    (see module constant).  Equals 1 when ``d1 == d2``.  The quadratic forms
+    are taken in the units of :func:`_in_units` and scaled back in plain
+    floats, which overflow to ``inf`` quietly; ``exp(-inf + i phase)`` is
+    exactly 0 for every phase, an infinite one included.
     """
     cm = _check_cm(cm)
     spec = symplectic_spectrum(cm)
@@ -257,10 +274,12 @@ def pure_overlap(cm, d1, d2):
     d2 = np.asarray(d2, dtype=float)
     if d1.shape != (cm.shape[0],) or d2.shape != (cm.shape[0],):
         raise InvalidInput("displacement length must match the CM dimension")
-    delta = d2 - d1
+    k, (u1, u2) = _in_units(d1, d2)
+    delta = u2 - u1
     quad = float(delta @ np.linalg.solve(cm, delta))
-    phase = _OVERLAP_PHASE_SIGN * 0.5 * float(d1 @ _j(cm.shape[0] // 2) @ d2)
-    return complex(math.exp(-0.25 * quad) * complex(math.cos(phase), math.sin(phase)))
+    phase = _OVERLAP_PHASE_SIGN * 0.5 * float(u1 @ _j(cm.shape[0] // 2) @ u2)
+    s = 2.0**k
+    return cmath.exp(complex(-0.25 * quad * s * s, phase * s * s))
 
 
 @dataclass(frozen=True)
@@ -347,10 +366,17 @@ def _decay_table(p, ndim=0):
     return _decay_rows(k.reshape((7,) + (1,) * ndim))
 
 
+def _check_x0(x0):
+    """The package's one threshold rule: ``x0`` is one finite nonzero number.
+    Its sign only relabels the four sign sectors.  Readers of several
+    thresholds apply it to each entry."""
+    if np.ndim(x0) != 0 or not (math.isfinite(x0) and x0 != 0):
+        raise InvalidInput("x0 must be one finite nonzero number")
+
+
 def _decays_at(p, x0):
     """The seven decays of :func:`_decay_table` at one threshold, as floats."""
-    if np.ndim(x0) != 0 or math.isnan(x0):
-        raise InvalidInput("x0 must be one number, not an array or NaN")
+    _check_x0(x0)
     return np.exp(_log_decay(_decay_table(p), x0)).tolist()
 
 

@@ -89,8 +89,8 @@ def pair_covariance(p):
 def error_probability(p, x0):
     """Zero-width postselection error probability ``1 / (1 + exp(r x0^2))``,
     read as ``g / (1 + g)`` from the decay ``g = exp(-r x0^2)``, row 0 of the
-    state's decay table; ``cx = 0`` gives 1/2 at every threshold, ``x0 = inf``
-    included; a NaN or array ``x0`` raises ``InvalidInput``."""
+    state's decay table; ``cx = 0`` gives 1/2 at every threshold.  ``x0`` must
+    pass :func:`~gausskey.gaussian._check_x0`: one finite nonzero number."""
     g = _decays_at(p, x0)[0]
     return g / (1.0 + g)
 

@@ -16,7 +16,9 @@ On this family the error ratio and every overlap are Gaussian in the
 threshold, so the state's decay table in :mod:`gausskey.gaussian` gives all
 of the above in closed form, and the overlap conditions do not depend on the
 threshold.  That table's decay takes care of a threshold whose square
-overflows, so nothing here touches numpy's error state.
+overflows, so nothing here touches numpy's error state; and
+:func:`gausskey.gaussian._check_x0` is the one rule for what a threshold is,
+so nothing here checks one on its own.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -32,6 +34,7 @@ from . import matkit
 from .errors import InvalidInput
 from .gaussian import (
     SymmetricStateParams,
+    _check_x0,
     _decay_table,
     _decays_at,
     _log_decay,
@@ -61,6 +64,10 @@ _RATE_FLOOR = 1e-12
 
 # exp(-a) is exactly 0 in double precision once a >= 746
 _UNDERFLOW_EXPONENT = 746.0
+
+# the default upper end of every threshold search: optimize_rate, build_report,
+# the general attack's key condition and the CLI's --x0-max
+X0_MAX = 5.0
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,6 @@ def _sign_outcomes(key, x0):
     return np.array([x0 if s == "+" else -x0 for s in key])
 
 
-def _check_x0(x0):
-    x0 = np.asarray(x0)
-    if not (np.isfinite(x0) & (x0 != 0)).all():
-        raise InvalidInput("x0 must be nonzero")
-
-
 def eve_ensemble(p, x0):
     """Purify the embedded state, condition the purifying modes on the four
     sign combinations of ``(x_A, x_B) = (+-x0, +-x0)``, and collect the
@@ -110,7 +111,9 @@ def eve_ensemble(p, x0):
     This is the generic reference route; the closed forms of
     :func:`~gausskey.gaussian.symmetric_exponents` reproduce its Gram
     matrix.  A negative ``x0`` relabels the four sectors and leaves every
-    derived quantity invariant; zero is rejected.
+    derived quantity invariant.  At a threshold so large that every overlap
+    underflows the Gram matrix is the identity; one whose displacements leave
+    the float range raises ``InvalidInput``.
     """
     _check_x0(x0)
     pur = purify(symmetric_embed(p))
@@ -132,7 +135,6 @@ def eve_ensemble(p, x0):
 def eve_overlap(p, x0):
     """``|<e_++|e_-->| = exp(-q_same x0^2)`` for the given parameters and
     threshold."""
-    _check_x0(x0)
     return _decays_at(p, x0)[1]
 
 
@@ -170,7 +172,6 @@ def effective_state(p, x0):
     diagonal.  This matrix route is the reference for the closed-form
     spectrum of :func:`rate_lower_bound`.
     """
-    _check_x0(x0)
     g_r, g_same, g_diff, *_, g_mix = _decays_at(p, x0)
     gram = np.full((4, 4), g_mix)
     gram[0, 1] = gram[1, 0] = g_same
@@ -220,7 +221,8 @@ def rate_lower_bound(p, x0):
     The ``1 - g`` terms use ``expm1`` and the small root is
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
-    _check_x0(x0)
+    for x in np.ravel(x0).tolist():
+        _check_x0(x)
     rate = _rate_kernel(_decay_table(p, np.ndim(x0)), x0)
     return float(rate) if np.ndim(rate) == 0 else rate
 
@@ -244,7 +246,7 @@ def _best_rate(rows, x0_max):
     return float(x), float(-neg)
 
 
-def optimize_rate(p, x0_max=5.0):
+def optimize_rate(p, x0_max=X0_MAX):
     """Maximize :func:`rate_lower_bound` over thresholds in ``(0, x0_max]``.
 
     Repeated 64-point scans of the vectorized rate, each over the best bracket
@@ -264,9 +266,13 @@ def optimize_rate(p, x0_max=5.0):
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     """Whether some threshold on the grid satisfies the overlap-based key
     condition of the given attack model.  The condition does not depend on
-    the threshold, so the grid is only validated."""
-    if x0_grid is not None and (np.size(x0_grid) == 0 or not np.min(x0_grid) > 0):
-        raise InvalidInput("x0 grid must be positive")
+    the threshold, so the grid is only validated: it must not be empty, and
+    each entry is a threshold."""
+    if x0_grid is not None:
+        if np.size(x0_grid) == 0:
+            raise InvalidInput("x0_grid must not be empty")
+        for x0 in np.ravel(x0_grid).tolist():
+            _check_x0(x0)
     if attack == GENERAL:
         raise InvalidInput("use optimize_rate for the general one-way bound")
     return _secure(p, attack)
@@ -288,9 +294,10 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     lifted by a relative 1e-12 margin, finds where the attack's key
     condition (:func:`_secure`) flips, to a width of 1e-6.  For ``general``
     this is a rate-threshold frontier: ``lam_star`` is where the best one-way
-    rate over thresholds ``x0 <= 5`` falls to 1e-12 bits per accepted symbol.
-    A ``c`` above about 1e12, where the margin reaches the upper rail, raises
-    :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in grid order.
+    rate over thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted
+    symbol.  A ``c`` above about 1e12, where the margin reaches the upper
+    rail, raises :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in
+    grid order.
     """
     c_grid = np.asarray(c_grid, dtype=float)
     if c_grid.size == 0:
@@ -324,7 +331,7 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     return out
 
 
-def build_report(p, x0_max=5.0):
+def build_report(p, x0_max=X0_MAX):
     """Full per-state analysis at the rate-optimal threshold.
 
     NPPT comes from :func:`npt_symmetric` rather than the exponents, so the

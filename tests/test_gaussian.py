@@ -304,6 +304,15 @@ class TestConditionOnX:
         with pytest.raises(IllConditioned):
             g.condition_on_x(st, (0,), np.array([0.5]))
 
+    def test_huge_outcomes_scale_exactly(self, purified_symmetric_111):
+        # the displacement is linear in the outcomes, and power-of-two units
+        # keep it exact up to the float range
+        _, pur = purified_symmetric_111
+        unit = g.condition_on_x(pur, (0, 1), np.array([1.0, -1.0])).state.dv
+        for k in (-600, 3, 500, 1022):
+            dv = g.condition_on_x(pur, (0, 1), np.array([2.0**k, -(2.0**k)])).state.dv
+            assert np.array_equal(dv, unit * 2.0**k), k
+
     def test_rejects_bad_measured_sets(self):
         st = g.GaussianState(np.eye(4), np.zeros(4))
         with pytest.raises(InvalidInput):
@@ -352,6 +361,11 @@ class TestPureOverlap:
     def test_rejects_mixed_state(self):
         with pytest.raises(InvalidInput):
             g.pure_overlap(np.diag([2.0, 2.0]), np.zeros(2), np.ones(2))
+
+    def test_huge_displacements(self):
+        # a form past the float range gives exactly 0, with no numpy overflow
+        for d in (1e154, 1e200, 1.7e308):
+            assert g.pure_overlap(np.eye(2), np.array([d, 0.0]), np.array([-d, 0.0])) == 0, d
 
 
 class TestSymmetricFamily:
@@ -440,6 +454,9 @@ class TestGaussianState:
 
 
 _THERMAL_PURIFIED = g.purify(g.GaussianState(np.diag([2.0, 2.0]), np.zeros(2)))
+# X1 = 1 moves X2 by 2
+_GAIN_2 = g.GaussianState(np.array([[1.0, 0, 2, 0], [0, 1, 0, 0], [2, 0, 5, 0], [0, 0, 0, 1]]),
+                          np.zeros(4))
 
 
 class TestInputChecks:
@@ -455,6 +472,8 @@ class TestInputChecks:
                      "measured mode index out of range", id="condition-mode-negative"),
         pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (0,), [np.nan]),
                      "outcomes must be finite", id="condition-nonfinite-outcome"),
+        pytest.param(lambda: g.condition_on_x(_GAIN_2, (0,), [1e308]),
+                     "conditioned displacement exceeds the float range", id="condition-dv-overflow"),
         pytest.param(lambda: g.pure_overlap(np.eye(2), np.zeros(3), np.zeros(2)),
                      "displacement length must match the CM dimension", id="overlap-dv-length"),
     ])

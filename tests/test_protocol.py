@@ -43,7 +43,8 @@ class TestErrorProbability:
         assert pr.error_probability(SymmetricStateParams(2.0, 0.0, 0.0), 1.0) == 0.5
 
     def test_zero_threshold(self):
-        assert pr.error_probability(P111, 0.0) == 0.5
+        # x0 = 0 is no threshold; the x0 -> 0 limit, 1/2, is reached once x0^2 underflows
+        assert pr.error_probability(P111, 1e-300) == 0.5
 
     def test_huge_threshold(self):
         # exp(-a) form: no overflow, and r = 0 stays 1/2 even at x0^2 = inf
@@ -54,7 +55,7 @@ class TestErrorProbability:
     def test_exponent_form_matches_logistic(self):
         # x0 = sqrt(a / r) puts the exponent r x0^2 at a
         r = symmetric_exponents(P111)[0]
-        for a in (0.0, 1e-3, 0.5, 3.0, 30.0):
+        for a in (1e-300, 1e-3, 0.5, 3.0, 30.0):
             assert abs(pr.error_probability(P111, math.sqrt(a / r)) - 1.0 / (1.0 + np.exp(a))) < 1e-16, a
 
     def test_degenerate_pole(self):
@@ -78,8 +79,7 @@ class TestErrorProbability:
             pr.error_probability(SymmetricStateParams(1.5, 1.3, 1.0), 1.0)
 
     def test_rejects_nan_threshold(self):
-        with pytest.raises(InvalidInput, match="NaN"):
-            pr.error_probability(P111, np.nan)
+        assert_rejects(lambda: pr.error_probability(P111, np.nan), "x0 must be one finite nonzero number")
 
 
 class TestAdError:
@@ -339,9 +339,9 @@ class TestInputChecks:
         pytest.param(lambda: pr.SiftedBits(np.zeros(1, np.uint8), np.zeros(1, np.uint8), -0.1),
                      "acceptance rate must be a probability", id="sifted-rate-negative"),
         pytest.param(lambda: pr.error_probability(P111, np.array([1.0, 2.0])),
-                     "x0 must be one number, not an array or NaN", id="error-probability-2-thresholds"),
+                     "x0 must be one finite nonzero number", id="error-probability-2-thresholds"),
         pytest.param(lambda: pr.error_probability(P111, [1.0]),
-                     "x0 must be one number, not an array or NaN", id="error-probability-1-threshold"),
+                     "x0 must be one finite nonzero number", id="error-probability-1-threshold"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -330,8 +332,7 @@ class TestAnyX0Secure:
             sec.any_x0_secure(P111, attack=sec.GENERAL)
 
     def test_rejects_nan_grid(self):
-        with pytest.raises(InvalidInput, match="positive"):
-            sec.any_x0_secure(P111, [np.nan])
+        assert_rejects(lambda: sec.any_x0_secure(P111, [np.nan]), "x0 must be one finite nonzero number")
 
 
 class TestEffectiveState:
@@ -583,16 +584,103 @@ class TestInputChecks:
                      "unknown attack kind 'nope'", id="any-x0-attack"),
         # one state at several thresholds would mix the table's rows and thresholds
         pytest.param(lambda: sec.effective_state(P111, np.array([1.0, 2.0, 3.0, 4.0])),
-                     "x0 must be one number, not an array or NaN", id="effective-state-4-thresholds"),
+                     "x0 must be one finite nonzero number", id="effective-state-4-thresholds"),
         pytest.param(lambda: sec.effective_state(P111, np.full(7, 1.0)),
-                     "x0 must be one number, not an array or NaN", id="effective-state-7-thresholds"),
+                     "x0 must be one finite nonzero number", id="effective-state-7-thresholds"),
         pytest.param(lambda: sec.effective_state(P111, [1.0]),
-                     "x0 must be one number, not an array or NaN", id="effective-state-1-threshold"),
+                     "x0 must be one finite nonzero number", id="effective-state-1-threshold"),
         pytest.param(lambda: sec.eve_overlap(P111, np.array([1.0, 2.0])),
-                     "x0 must be one number, not an array or NaN", id="eve-overlap-2-thresholds"),
+                     "x0 must be one finite nonzero number", id="eve-overlap-2-thresholds"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)
+
+
+# every reader of a threshold, each taking one x0; the two that read several
+# take it inside a list
+_X0_READERS = {
+    "error-probability": lambda x0: error_probability(P111, x0),
+    "eve-overlap": lambda x0: sec.eve_overlap(P111, x0),
+    "effective-state": lambda x0: sec.effective_state(P111, x0).rho,
+    "eve-ensemble": lambda x0: sec.eve_ensemble(P111, x0).gram,
+    "coherent-ad-secure": lambda x0: sec.coherent_ad_secure(P111, x0),
+    "rate-lower-bound": lambda x0: sec.rate_lower_bound(P111, [x0]),
+    "any-x0-secure": lambda x0: sec.any_x0_secure(P111, [x0]),
+}
+_ARRAY_READERS = ("rate-lower-bound", "any-x0-secure")
+_BAD_X0 = {"zero": 0.0, "minus-zero": -0.0, "inf": math.inf, "minus-inf": -math.inf,
+           "nan": math.nan, "array": np.array([1.0, 2.0])}
+
+
+class TestThresholdRule:
+    # gaussian._check_x0 is the one rule: x0 is one finite nonzero number
+    @pytest.mark.parametrize("reader, bad", [
+        pytest.param(reader, bad, id=f"{reader}-{bad}")
+        for reader in _X0_READERS for bad in _BAD_X0
+        # an array is the array readers' domain; inside a list it is two thresholds
+        if not (bad == "array" and reader in _ARRAY_READERS)
+    ])
+    def test_rejects(self, reader, bad):
+        assert_rejects(lambda: _X0_READERS[reader](_BAD_X0[bad]), "x0 must be one finite nonzero number")
+
+    @pytest.mark.parametrize("reader", list(_X0_READERS))
+    def test_sign_only_relabels(self, reader):
+        for x0 in (1e-200, 0.7, 1.3, 1e200):
+            assert np.array_equal(_X0_READERS[reader](-x0), _X0_READERS[reader](x0)), x0
+
+    def test_empty_grid(self):
+        assert_rejects(lambda: sec.any_x0_secure(P111, []), "x0_grid must not be empty")
+
+    def test_one_rule_in_src(self):
+        # _check_x0 is defined only in gaussian, and security raises no
+        # InvalidInput about a threshold x0 (x0_max and x0_grid are its own parameters)
+        defs, messages = [], []
+        for path in pathlib.Path(gaussian.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name == "_check_x0":
+                    defs.append(path.stem)
+                if (path.stem == "security" and isinstance(node, ast.Raise)
+                        and getattr(node.exc.func, "id", None) == "InvalidInput"):
+                    # a message's first literal part, f-strings included
+                    messages.append(next(n.value for n in ast.walk(node.exc.args[0])
+                                         if isinstance(n, ast.Constant)))
+        assert defs == ["gaussian"]
+        assert messages and not [m for m in messages if m.startswith("x0 ")], messages
+
+    def test_search_and_attack_scans_never_check_a_threshold(self, monkeypatch):
+        # the rate search picks its own thresholds, and the overlap conditions
+        # hold at every threshold, so neither reaches the rule
+        def forbidden(x0):
+            raise AssertionError("a threshold was checked")
+
+        monkeypatch.setattr(gaussian, "_check_x0", forbidden)
+        monkeypatch.setattr(sec, "_check_x0", forbidden)
+        assert sec.build_report(P111).rate_lb > 0
+        assert sec.optimize_rate(P111)[1] > 0
+        for attack in (sec.INDIVIDUAL, sec.GENERAL):
+            assert len(sec.security_frontier([0.5, 1.0], attack)) == 2
+        for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT, sec.COHERENT_AD):
+            assert sec.any_x0_secure(P111, attack=attack)
+
+
+class TestEveEnsembleHugeThresholds:
+    # the generic route works in power-of-two units, so no numpy overflow
+    # reaches the caller (pytest turns warnings into errors)
+    @pytest.mark.parametrize("x0", [1e154, 1e200, 1e300, 1.7e308])
+    def test_identity_limit(self, x0):
+        # every overlap of (1.5, 1, 1) has underflowed: the Gram matrix is its limit
+        assert np.array_equal(sec.eve_ensemble(P111, x0).gram, np.eye(4))
+
+    @pytest.mark.parametrize("x0", [1e154, 1e200, 1e300, 1.7e308])
+    def test_ill_conditioned_state_raises_one_error(self, x0):
+        # the generic route fails on this state at every threshold
+        with pytest.raises(InvalidInput):
+            sec.eve_ensemble(SymmetricStateParams(1e6, 1e6 - 1e-6, 0.0), x0)
+
+    def test_displacement_past_float_range(self):
+        # the +- sector moves by slightly more than x0
+        assert_rejects(lambda: sec.eve_ensemble(P111, 1.7976931348623157e308),
+                       "conditioned displacement exceeds the float range")
 
 
 def test_security_imports_only_matkit_errors_and_gaussian():
