@@ -248,10 +248,9 @@ def cmd_frontier(args):
         raise _UsageError("--steps must be between 2 and 1000000")
     if not args.c_min < args.c_max:
         raise _UsageError("--c-min must be below --c-max")
-    if args.c_min <= 0:
-        raise InvalidInput("correlations must be positive")
-    if not np.isfinite(args.c_max):
-        raise InvalidInput("correlations must be finite")
+    # np.linspace warns on an infinite bound or width; the grid rule is security_frontier's
+    if not np.isfinite(args.c_max - args.c_min):
+        raise InvalidInput("--c-min, --c-max and their difference must be finite")
     grid = np.linspace(args.c_min, args.c_max, args.steps)
     if np.any(np.diff(grid) <= 0):
         raise _UsageError(

@@ -178,6 +178,7 @@ def purify(state):
     on each mode, so the coupling does not depend on the Williamson gauge.
     Modes within 1e-9 of pure get ``E = 0`` exactly, so rounding can never
     produce sqrt of a negative number and a pure input couples by exactly 0.
+    An output more than 1e-6 from pure raises :class:`IllConditioned`.
     """
     n = state.n_modes
     wd = williamson(state.cm)
@@ -188,7 +189,8 @@ def purify(state):
     e[np.repeat(wd.spectrum, 2) <= 1.0 + _PHYS_TOL] = 0.0
     c = _j(n) @ wd.s @ np.diag(e) @ np.linalg.inv(wd.s) @ theta
     cm = np.block([[state.cm, c], [c.T, theta @ state.cm @ theta]])
-    cm = 0.5 * (cm + cm.T)
+    if np.abs(symplectic_spectrum(cm) - 1.0).max() > 1e-6:
+        raise IllConditioned("purification is not pure (symplectic spectrum deviates from 1)")
     dv = np.concatenate([state.dv, theta @ state.dv])
     return GaussianState(cm, dv)
 
@@ -261,14 +263,14 @@ def pure_overlap(cm, d1, d2):
 
     ``|result|^2 = exp(-1/2 delta . cm^{-1} . delta)`` with ``delta = d2 - d1``
     and a phase of ``exp(+i/2 d1 . J . d2)`` in the grid-oracle convention
-    (see module constant).  Equals 1 when ``d1 == d2``.  The quadratic forms
-    are taken in the units of :func:`_in_units` and scaled back in plain
-    floats, which overflow to ``inf`` quietly; ``exp(-inf + i phase)`` is
-    exactly 0 for every phase, an infinite one included.
+    (see module constant), taken as ``d1 . J . delta`` since ``d1 . J . d1 = 0``,
+    so it is exactly 1 when ``d1 == d2``.  The quadratic forms are taken in
+    the units of :func:`_in_units` and scaled back in plain floats, which
+    overflow to ``inf`` quietly; ``exp(-inf + i phase)`` is exactly 0 for
+    every phase, an infinite one included.
     """
     cm = _check_cm(cm)
-    spec = symplectic_spectrum(cm)
-    if np.abs(spec - 1.0).max() > 1e-6:
+    if np.abs(symplectic_spectrum(cm) - 1.0).max() > 1e-6:
         raise InvalidInput("CM is not pure (symplectic spectrum deviates from 1)")
     d1 = np.asarray(d1, dtype=float)
     d2 = np.asarray(d2, dtype=float)
@@ -277,7 +279,7 @@ def pure_overlap(cm, d1, d2):
     k, (u1, u2) = _in_units(d1, d2)
     delta = u2 - u1
     quad = float(delta @ np.linalg.solve(cm, delta))
-    phase = _OVERLAP_PHASE_SIGN * 0.5 * float(u1 @ _j(cm.shape[0] // 2) @ u2)
+    phase = _OVERLAP_PHASE_SIGN * 0.5 * float(u1 @ _j(cm.shape[0] // 2) @ delta)
     s = 2.0**k
     return cmath.exp(complex(-0.25 * quad * s * s, phase * s * s))
 

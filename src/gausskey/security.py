@@ -295,15 +295,16 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     condition (:func:`_secure`) flips, to a width of 1e-6.  For ``general``
     this is a rate-threshold frontier: ``lam_star`` is where the best one-way
     rate over thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted
-    symbol.  A ``c`` above about 1e12, where the margin reaches the upper
-    rail, raises :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in
-    grid order.
+    symbol.  ``c_grid`` is a non-empty 1-D array of finite, positive, strictly
+    ascending values, each between about 2e-12 and 1e12, where the lifted
+    lower rail stays below the upper one; anything else raises
+    :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in grid order.
     """
     c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.size == 0:
-        raise InvalidInput("c grid must not be empty")
-    if c_grid.min() <= 0 or np.any(np.diff(c_grid) <= 0):
-        raise InvalidInput("c grid must be positive and ascending")
+    # finiteness before np.diff, which warns on inf - inf
+    if (c_grid.ndim != 1 or c_grid.size == 0 or not np.all(np.isfinite(c_grid))
+            or c_grid[0] <= 0 or np.any(np.diff(c_grid) <= 0)):
+        raise InvalidInput("c grid must be 1-D, non-empty, finite, positive and strictly ascending")
     brackets = []
     for c in c_grid.tolist():
         solid, hi = frontier_rails(c)
@@ -313,19 +314,15 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
         brackets.append((c, lo, hi))
     out = []
     for c, lo, hi in brackets:
+        # with no flip between the rails the bracket closes on one: mid = 0.5 * (x + x) = x
         if not _secure(SymmetricStateParams(lo, c, c), attack):
-            out.append((c, lo))
-            continue
-        if _secure(SymmetricStateParams(hi, c, c), attack):
-            out.append((c, hi))
-            continue
+            hi = lo
+        elif _secure(SymmetricStateParams(hi, c, c), attack):
+            lo = hi
         # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
         mid = 0.5 * (lo + hi)
         while hi - lo > 1e-6 and lo < mid < hi:
-            if _secure(SymmetricStateParams(mid, c, c), attack):
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if _secure(SymmetricStateParams(mid, c, c), attack) else (lo, mid)
             mid = 0.5 * (lo + hi)
         out.append((c, mid))
     return out

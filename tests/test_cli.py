@@ -242,6 +242,9 @@ class TestDomainErrors:
             # the lower rail's margin reaches the upper rail
             (False, ("frontier", "--c-min", "1", "--c-max", "1e200")),
             (False, ("frontier", "--c-max", "inf")),
+            (False, ("frontier", "--c-min=-inf", "--c-max", "1")),
+            # finite bounds whose difference overflows, which np.linspace would warn on
+            (False, ("frontier", "--c-min=-1e308", "--c-max", "1e308")),
             (False, ("frontier", "--c-min", "1e9", "--c-max", "1e13", "--steps", "5")),
         ]
         for unphysical, argv in cases:

@@ -228,6 +228,13 @@ class TestPurify:
         with pytest.raises(InvalidInput):
             g.purify(st)
 
+    def test_ill_conditioned_output_raises(self):
+        # a valid state whose purification comes out with spectrum
+        # [0.99995, 0.99998, 31.7, 31.7], not all 1
+        st = g.symmetric_embed(g.SymmetricStateParams(1e6, 1e6 - 1e-6, 0.0))
+        with pytest.raises(IllConditioned, match="purification is not pure"):
+            g.purify(st)
+
 
 class TestConditionOnX:
     def test_uncorrelated_modes_unchanged(self):
@@ -325,7 +332,9 @@ class TestConditionOnX:
 
 class TestPureOverlap:
     def test_identical_displacements(self):
-        assert g.pure_overlap(np.eye(2), np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 1.0
+        # the phase is exactly 0, not the rounding residue of d . J . d
+        for d in ([1.0, 2.0], [0.1, 0.3], [1e154, 1e154]):
+            assert g.pure_overlap(np.eye(2), np.array(d), np.array(d)) == 1.0, d
 
     def test_vacuum_displaced_magnitude(self):
         ov = g.pure_overlap(np.eye(2), np.zeros(2), np.array([2.0, 0.0]))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_rejects, package_imports, random_symmetric_params
 from gausskey import gaussian, matkit, protocol, security as sec
-from gausskey.errors import InvalidInput
+from gausskey.errors import IllConditioned, InvalidInput
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
 from gausskey.protocol import error_probability
 
@@ -472,14 +472,24 @@ class TestFrontier:
         assert sec.security_frontier([c], sec.GENERAL) == [(c, lo)]
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(InvalidInput):
-            sec.security_frontier(np.array([]), sec.INDIVIDUAL)
-        # rails that cannot be separated (above c ~ 1e12) or a non-finite c
-        for c in (5e12, 1e200, np.inf, np.nan):
-            with pytest.raises(InvalidInput):
-                sec.security_frontier(np.array([0.5, c]), sec.INDIVIDUAL)
-        with pytest.raises(InvalidInput):
-            sec.security_frontier(np.array([1.0, 0.5]), sec.INDIVIDUAL)
+        # finiteness is checked before np.diff, whose inf - inf would warn
+        for grid in ([], [1.0, 0.5], [0.0, 1.0], 0.5, [[0.5, 1.0]],
+                     [np.inf], [np.nan], [0.5, np.nan], [0.5, np.inf, np.inf]):
+            assert_rejects(lambda: sec.security_frontier(grid, sec.INDIVIDUAL),
+                           "c grid must be 1-D, non-empty, finite, positive and strictly ascending")
+        # below c ~ 2e-12 and above c ~ 1e12 the lifted lower rail reaches the upper one
+        for c in (1e-12, 5e12, 1e200):
+            assert_rejects(lambda: sec.security_frontier([c], sec.INDIVIDUAL),
+                           f"c = {c:g}: the rails sqrt(1 + c^2) and c + 1 cannot be separated")
+
+    def test_low_end_of_separable_range_bisects(self):
+        # the rails are 1e-12 apart, within the bisection width: the frontier
+        # is the bracket's midpoint, not a rail
+        c = 3e-12
+        solid, hi = sec.frontier_rails(c)
+        lo = solid * (1.0 + 1e-12) + 1e-12
+        assert sec.security_frontier([c], sec.INDIVIDUAL) == [(c, 0.5 * (lo + hi))]
+        assert lo < 0.5 * (lo + hi) < hi
 
 
 class TestAttackHierarchy:
@@ -673,8 +683,9 @@ class TestEveEnsembleHugeThresholds:
 
     @pytest.mark.parametrize("x0", [1e154, 1e200, 1e300, 1.7e308])
     def test_ill_conditioned_state_raises_one_error(self, x0):
-        # the generic route fails on this state at every threshold
-        with pytest.raises(InvalidInput):
+        # the generic route fails on this state at every threshold, in its
+        # purification rather than in a later purity check
+        with pytest.raises(IllConditioned, match="purification is not pure"):
             sec.eve_ensemble(SymmetricStateParams(1e6, 1e6 - 1e-6, 0.0), x0)
 
     def test_displacement_past_float_range(self):
