@@ -23,6 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import matkit
 from .errors import IllConditioned, InvalidInput
 
 _PHYS_TOL = 1e-9
@@ -52,11 +53,11 @@ def xxpp_indices(n):
 
 
 def _check_cm(cm):
-    cm = np.asarray(cm, dtype=float)
+    """``cm`` read by :func:`~gausskey.matkit._reals`, checked square, of even
+    dimension and symmetric to 1e-12, and returned symmetrized."""
+    cm = matkit._reals(cm, "cm has non-finite entries")
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise InvalidInput("cm must be square with even dimension")
-    if not np.all(np.isfinite(cm)):
-        raise InvalidInput("cm has non-finite entries")
     if np.abs(cm - cm.T).max() > 1e-12 * (1.0 + np.abs(cm).max()):
         raise InvalidInput("cm must be symmetric")
     return 0.5 * (cm + cm.T)
@@ -71,13 +72,10 @@ class GaussianState:
 
     def __post_init__(self):
         cm = _check_cm(self.cm)
-        dv = np.asarray(self.dv, dtype=float)
+        dv = matkit._reals(self.dv, "dv has non-finite entries").copy()
         if dv.shape != (cm.shape[0],):
             raise InvalidInput("dv length must match the CM dimension")
-        if not np.all(np.isfinite(dv)):
-            raise InvalidInput("dv has non-finite entries")
         cm.flags.writeable = False
-        dv = dv.copy()
         dv.flags.writeable = False
         object.__setattr__(self, "cm", cm)
         object.__setattr__(self, "dv", dv)
@@ -235,11 +233,9 @@ def condition_on_x(state, measured_modes, outcomes):
         raise InvalidInput("measured mode index out of range")
     if len(modes) == 0 or len(modes) == n:
         raise InvalidInput("measured modes must be a proper non-empty subset")
-    outcomes = np.asarray(outcomes, dtype=float)
+    outcomes = matkit._reals(outcomes, "outcomes must be finite")
     if outcomes.shape != (len(modes),):
         raise InvalidInput("need exactly one outcome per measured mode")
-    if not np.all(np.isfinite(outcomes)):
-        raise InvalidInput("outcomes must be finite")
 
     x_idx = np.array([2 * m for m in modes])
     r_idx = np.array([i for i in range(2 * n) if i // 2 not in modes])
@@ -267,13 +263,14 @@ def pure_overlap(cm, d1, d2):
     so it is exactly 1 when ``d1 == d2``.  The quadratic forms are taken in
     the units of :func:`_in_units` and scaled back in plain floats, which
     overflow to ``inf`` quietly; ``exp(-inf + i phase)`` is exactly 0 for
-    every phase, an infinite one included.
+    every phase, an infinite one included.  ``cm``, ``d1`` and ``d2`` are
+    read by :func:`~gausskey.matkit._reals`, so a non-finite displacement
+    raises :class:`InvalidInput` rather than giving NaN.
     """
     cm = _check_cm(cm)
     if np.abs(symplectic_spectrum(cm) - 1.0).max() > 1e-6:
         raise InvalidInput("CM is not pure (symplectic spectrum deviates from 1)")
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
+    d1, d2 = (matkit._reals(d, "displacements must be finite") for d in (d1, d2))
     if d1.shape != (cm.shape[0],) or d2.shape != (cm.shape[0],):
         raise InvalidInput("displacement length must match the CM dimension")
     k, (u1, u2) = _in_units(d1, d2)
@@ -368,18 +365,27 @@ def _decay_table(p, ndim=0):
     return _decay_rows(k.reshape((7,) + (1,) * ndim))
 
 
-def _check_x0(x0):
-    """The package's one threshold rule: ``x0`` is one finite nonzero number.
-    Its sign only relabels the four sign sectors.  Readers of several
-    thresholds apply it to each entry."""
-    if np.ndim(x0) != 0 or not (math.isfinite(x0) and x0 != 0):
+def _thresholds(x0):
+    """The package's one threshold rule, on a whole array read by
+    :func:`~gausskey.matkit._reals`: each entry is a finite nonzero number.
+    Its sign only relabels the four sign sectors.  Returns ``x0`` as floats."""
+    x0 = matkit._reals(x0, "x0 must be one finite nonzero number")
+    if not x0.all():
         raise InvalidInput("x0 must be one finite nonzero number")
+    return x0
+
+
+def _check_x0(x0):
+    """:func:`_thresholds` for one threshold, returned as a float."""
+    x0 = _thresholds(x0)
+    if x0.ndim:
+        raise InvalidInput("x0 must be one finite nonzero number")
+    return float(x0)
 
 
 def _decays_at(p, x0):
     """The seven decays of :func:`_decay_table` at one threshold, as floats."""
-    _check_x0(x0)
-    return np.exp(_log_decay(_decay_table(p), x0)).tolist()
+    return np.exp(_log_decay(_decay_table(p), _check_x0(x0))).tolist()
 
 
 def _log_decay(rows, x0):

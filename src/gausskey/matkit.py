@@ -26,9 +26,16 @@ _SCAN_POINTS = 64  # points per scan of minimize_scalar
 _SCAN_INDEX = np.arange(float(_SCAN_POINTS))
 
 
-def _require_finite(a, name):
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput(f"{name} contains non-finite entries")
+def _reals(values, message):
+    """``values`` as floats, if numpy reads them as one regular array of finite
+    bools, ints or floats; otherwise :class:`InvalidInput` with ``message``."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise InvalidInput(message) from None
+    if a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+        raise InvalidInput(message)
+    return a.astype(float, copy=False)
 
 
 class Rng:
@@ -71,7 +78,8 @@ def eigh(h):
     ones are rejected.  Returns ``(eigenvalues ascending, eigenvector columns)``.
     """
     h = np.asarray(h)
-    _require_finite(h, "matrix")
+    if not np.isfinite(h).all():
+        raise InvalidInput("matrix contains non-finite entries")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInput("matrix must be square")
     if h.shape[0] > 64:
@@ -87,8 +95,7 @@ def eigh(h):
 def pseudo_inverse(m, tol=1e-10):
     """Moore-Penrose pseudo-inverse with singular values below
     ``tol * sigma_max`` treated as zero."""
-    m = np.asarray(m, dtype=float)
-    _require_finite(m, "matrix")
+    m = _reals(m, "matrix contains non-finite entries")
     if not tol > 0:
         raise InvalidInput("tol must be positive")
     if m.ndim != 2:
@@ -135,8 +142,7 @@ def sample_mvn(cov, n, rng):
     raise :class:`NotPSD`, small negative ones from rounding are clipped.
     Output shape is ``(n, dim)`` and is fully determined by ``rng``.
     """
-    cov = np.asarray(cov, dtype=float)
-    _require_finite(cov, "cov")
+    cov = _reals(cov, "cov contains non-finite entries")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise InvalidInput("cov must be square")
     if np.abs(cov - cov.T).max() > 1e-10 * (1.0 + np.abs(cov).max()):
@@ -156,7 +162,7 @@ def _xlog2x(w):
 def binary_entropy(p):
     """Binary entropy in bits, with the 0*log(0) = 0 convention; elementwise
     on arrays, a float for a scalar."""
-    p = np.asarray(p, dtype=float)
+    p = _reals(p, "probability must lie in [0, 1]")
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise InvalidInput("probability must lie in [0, 1]")
     out = -(_xlog2x(p) + _xlog2x(1.0 - p))
@@ -170,8 +176,7 @@ def entropy_bits(weights):
     Intended for eigenvalues of a trace-one density matrix; values in
     ``[-1e-9, 0)`` are treated as rounding noise and clipped to zero.
     """
-    w = np.asarray(weights, dtype=float)
-    _require_finite(w, "weights")
+    w = _reals(weights, "weights contains non-finite entries")
     if w.min(initial=0.0) < -1e-9:
         raise InvalidInput(f"weights must be nonnegative, got min {w.min()}")
     out = -_xlog2x(np.clip(w, 0.0, None)).sum(axis=-1)

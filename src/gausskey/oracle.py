@@ -98,8 +98,8 @@ def _sparse(vectors):
 def _pure_form(cm, dv, axis):
     """Check a pure state against the grid as :func:`wavefunction_from_pure`
     does and return ``(m, xbar, pbar)``, the terms of its exponent."""
-    cm = np.asarray(cm, dtype=float)
-    dv = np.asarray(dv, dtype=float)
+    cm = matkit._reals(cm, "CM has non-finite entries")
+    dv = matkit._reals(dv, "DV has non-finite entries")
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] % 2:
         raise InvalidInput("CM must be square with even dimension")
     n = cm.shape[0] // 2
@@ -155,8 +155,9 @@ def _exponent(m, xbar, pbar, nodes):
 def wavefunction_from_pure(cm, dv, axis):
     """Tabulate the wavefunction of a pure Gaussian state on the :class:`GridAxis` ``axis``.
 
-    Raises ``InvalidInput`` for mixed states and ``GridTooSmall`` when the
-    grid covers less than 6 standard deviations of some position marginal
+    ``cm`` and ``dv`` are read by :func:`~gausskey.matkit._reals`.  Raises
+    ``InvalidInput`` for non-finite or mixed states and ``GridTooSmall`` when
+    the grid covers less than 6 standard deviations of some position marginal
     around its mean.
     """
     m, xbar, pbar = _pure_form(cm, dv, axis)
@@ -174,8 +175,6 @@ def grid_overlap(a, b):
 
 
 def _snap(axis, x):
-    if not math.isfinite(x):
-        raise InvalidInput(f"outcome {x} is not finite")
     i = int(round((x - axis.lo) / axis.spacing))
     if not 0 <= i < axis.points:
         raise InvalidInput(f"outcome {x} outside the grid")
@@ -196,7 +195,7 @@ def grid_condition_on_x(psi, measured_axes, outcomes):
         raise InvalidInput("measured axis out of range")
     if len(axes) == 0 or len(axes) == psi.n_modes:
         raise InvalidInput("measured axes must be a proper non-empty subset")
-    outcomes = np.atleast_1d(np.asarray(outcomes, dtype=float))
+    outcomes = np.atleast_1d(matkit._reals(outcomes, "outcomes are not finite"))
     if outcomes.shape != (len(axes),):
         raise InvalidInput("need one outcome per measured axis")
     slicer = [slice(None)] * psi.n_modes
@@ -253,8 +252,10 @@ def grid_sector_states(cm, dv, axis, x0):
     slice has no support on the grid: its squared norm is below 1e-300 on
     the scale where the amplitude peaks at 1.
     """
-    if not x0 > 0:
-        raise InvalidInput("x0 must be positive")
+    x0 = matkit._reals(x0, "x0 is not finite")
+    if x0.ndim or not x0 > 0:
+        raise InvalidInput("x0 must be one positive number")
+    x0 = float(x0)
     m, xbar, pbar = _pure_form(cm, dv, axis)
     if len(xbar) < 3:
         raise InvalidInput("need a purification with at least one adversary mode")
@@ -277,12 +278,16 @@ def grid_reduced_spectrum(weights, states):
     """Eigenvalues of the effective postselected two-qubit state, from the
     sector weights and conditional states of :func:`grid_sector_states`.
 
-    ``rho[s, t] = c_s c_t <e_t|e_s>`` with ``c_s = sqrt(weights[s])``.
-    Ascending eigenvalues are returned.
+    ``rho[s, t] = c_s c_t <e_t|e_s>`` with ``c_s = sqrt(weights[s])``; the
+    four weights are read by :func:`~gausskey.matkit._reals` and must be
+    nonnegative.  Ascending eigenvalues are returned.
     """
-    if len(weights) != 4 or len(states) != 4:
+    weights = matkit._reals(weights, "weights must be finite and nonnegative")
+    if weights.shape != (4,) or len(states) != 4:
         raise InvalidInput("need the four sectors of grid_sector_states")
-    c = np.sqrt(np.asarray(weights, dtype=float))
+    if weights.min() < 0:
+        raise InvalidInput("weights must be finite and nonnegative")
+    c = np.sqrt(weights)
     rho = np.empty((4, 4), dtype=complex)
     for s in range(4):
         for t in range(4):

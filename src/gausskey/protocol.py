@@ -46,9 +46,9 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.x0) and self.x0 > 0):
-            raise InvalidInput("x0 must be positive")
+            raise InvalidInput("x0 must be finite and positive")
         if not (math.isfinite(self.window) and self.window > 0):
-            raise InvalidInput("window must be positive")
+            raise InvalidInput("window must be finite and positive")
         if self.n_pairs < 1 or self.block_n < 1:
             raise InvalidInput("counts must be at least 1")
         if self.window > self.x0 / 5.0:
@@ -111,6 +111,8 @@ def ad_error_bound(eps, n):
     tight as n grows."""
     if not 0.0 <= eps < 1.0:
         raise InvalidInput("eps must lie in [0, 1)")
+    if n < 1:
+        raise InvalidInput("block size must be at least 1")
     return float((eps / (1.0 - eps)) ** n)
 
 

@@ -17,8 +17,8 @@ threshold, so the state's decay table in :mod:`gausskey.gaussian` gives all
 of the above in closed form, and the overlap conditions do not depend on the
 threshold.  That table's decay takes care of a threshold whose square
 overflows, so nothing here touches numpy's error state; and
-:func:`gausskey.gaussian._check_x0` is the one rule for what a threshold is,
-so nothing here checks one on its own.
+:func:`gausskey.gaussian._thresholds` is the one rule for what a threshold
+is, so nothing here checks one on its own.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
@@ -38,6 +38,7 @@ from .gaussian import (
     _decay_table,
     _decays_at,
     _log_decay,
+    _thresholds,
     condition_on_x,
     npt_symmetric,
     pure_overlap,
@@ -115,7 +116,7 @@ def eve_ensemble(p, x0):
     underflows the Gram matrix is the identity; one whose displacements leave
     the float range raises ``InvalidInput``.
     """
-    _check_x0(x0)
+    x0 = _check_x0(x0)
     pur = purify(symmetric_embed(p))
     states = {
         key: condition_on_x(pur, (0, 1), _sign_outcomes(key, x0)) for key in SIGN_ORDER
@@ -208,8 +209,8 @@ def _rate_kernel(rows, x0):
 def rate_lower_bound(p, x0):
     """One-way key-rate lower bound ``(1 - h(eps)) - S(rho)`` in bits per
     accepted symbol, elementwise over an array of thresholds (a float for a
-    scalar).  Negative values certify nothing at that threshold and are
-    reported as-is.
+    scalar), read whole by :func:`~gausskey.gaussian._thresholds`.  Negative
+    values certify nothing at that threshold and are reported as-is.
 
     In the basis ``(e_++ +- e_--)/sqrt(2), (e_+- +- e_-+)/sqrt(2)`` the state
     of :func:`effective_state` splits into the eigenvalues
@@ -221,10 +222,9 @@ def rate_lower_bound(p, x0):
     The ``1 - g`` terms use ``expm1`` and the small root is
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
-    for x in np.ravel(x0).tolist():
-        _check_x0(x)
-    rate = _rate_kernel(_decay_table(p, np.ndim(x0)), x0)
-    return float(rate) if np.ndim(rate) == 0 else rate
+    x0 = _thresholds(x0)
+    rate = _rate_kernel(_decay_table(p, x0.ndim), x0)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def _best_rate(rows, x0_max):
@@ -267,12 +267,9 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     """Whether some threshold on the grid satisfies the overlap-based key
     condition of the given attack model.  The condition does not depend on
     the threshold, so the grid is only validated: it must not be empty, and
-    each entry is a threshold."""
-    if x0_grid is not None:
-        if np.size(x0_grid) == 0:
-            raise InvalidInput("x0_grid must not be empty")
-        for x0 in np.ravel(x0_grid).tolist():
-            _check_x0(x0)
+    :func:`~gausskey.gaussian._thresholds` reads it whole."""
+    if x0_grid is not None and _thresholds(x0_grid).size == 0:
+        raise InvalidInput("x0_grid must not be empty")
     if attack == GENERAL:
         raise InvalidInput("use optimize_rate for the general one-way bound")
     return _secure(p, attack)
@@ -295,15 +292,14 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     condition (:func:`_secure`) flips, to a width of 1e-6.  For ``general``
     this is a rate-threshold frontier: ``lam_star`` is where the best one-way
     rate over thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted
-    symbol.  ``c_grid`` is a non-empty 1-D array of finite, positive, strictly
-    ascending values, each between about 2e-12 and 1e12, where the lifted
-    lower rail stays below the upper one; anything else raises
+    symbol.  ``c_grid``, read by :func:`~gausskey.matkit._reals`, is a
+    non-empty 1-D array of finite, positive, strictly ascending values, each
+    between about 2e-12 and 1e12, where the lifted lower rail stays below the
+    upper one; anything else, numeric strings included, raises
     :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in grid order.
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    # finiteness before np.diff, which warns on inf - inf
-    if (c_grid.ndim != 1 or c_grid.size == 0 or not np.all(np.isfinite(c_grid))
-            or c_grid[0] <= 0 or np.any(np.diff(c_grid) <= 0)):
+    c_grid = matkit._reals(c_grid, "c grid must be 1-D, non-empty, finite, positive and strictly ascending")
+    if c_grid.ndim != 1 or c_grid.size == 0 or c_grid[0] <= 0 or np.any(np.diff(c_grid) <= 0):
         raise InvalidInput("c grid must be 1-D, non-empty, finite, positive and strictly ascending")
     brackets = []
     for c in c_grid.tolist():

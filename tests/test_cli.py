@@ -277,6 +277,17 @@ class TestDomainErrors:
                              "--x0-max", x0_max)
         assert (code, out, err) == (2, "", "domain error: x0_max must be finite and positive\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--x0", "inf"), "x0 must be finite and positive"),
+        (("--x0", "nan"), "x0 must be finite and positive"),
+        (("--x0", "1", "--window", "inf"), "window must be finite and positive"),
+        (("--x0", "1", "--window", "nan"), "window must be finite and positive"),
+    ])
+    def test_non_finite_x0_or_window_names_it(self, capsys, flags, message):
+        # inf is positive: the fault is that it is not finite
+        code, out, err = run(capsys, "simulate", "--lambda", "1.5", "--cx", "1", "--cp", "1", *flags)
+        assert (code, out, err) == (2, "", f"domain error: {message}\n")
+
     def test_usage_errors_come_first(self, capsys):
         # a missing value or a bad worker count is exit 1 even on a bad state
         for argv in (

@@ -439,6 +439,9 @@ class TestInputChecks:
                      "measured axes must be a proper non-empty subset", id="condition-no-axis"),
         pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [0], [0.0, 1.0]),
                      "need one outcome per measured axis", id="condition-outcome-count"),
+        # sqrt(-0.1) would warn and put NaN in the spectrum
+        pytest.param(lambda: o.grid_reduced_spectrum([-0.1, 0.4, 0.35, 0.35], [_VACUUM2] * 4),
+                     "weights must be finite and nonnegative", id="spectrum-negative-weight"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

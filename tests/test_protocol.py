@@ -329,6 +329,9 @@ class TestInputChecks:
     # input checks that no other test takes, each with its exact message
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: pr.ad_error(0.1, 0), "block size must be at least 1", id="ad-block-0"),
+        pytest.param(lambda: pr.ad_error_bound(0.1, 0), "block size must be at least 1", id="bound-block-0"),
+        pytest.param(lambda: pr.ad_error_bound(0.1, -1), "block size must be at least 1",
+                     id="bound-block-negative"),
         pytest.param(lambda: pr.ad_error_bound(1.0, 2), "eps must lie in [0, 1)", id="bound-eps-1"),
         pytest.param(lambda: pr.ad_error_bound(-0.1, 2), "eps must lie in [0, 1)",
                      id="bound-eps-negative"),

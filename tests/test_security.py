@@ -524,6 +524,15 @@ class TestBuildReport:
         assert rep.individual_secure == (rep.eps_ab / (1 - rep.eps_ab) < rep.eve_overlap)
         assert rep.rate_lb <= 1.0
 
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params())
+    def test_matches_threshold_readers_bit_for_bit(self, p):
+        # the report reads eps and the overlap from the decay table that the
+        # two public readers read, at the same threshold
+        rep = sec.build_report(p)
+        assert rep.eps_ab == error_probability(p, rep.best_x0)
+        assert rep.eve_overlap == sec.eve_overlap(p, rep.best_x0)
+
     def test_rejects_unphysical(self):
         with pytest.raises(InvalidInput):
             sec.build_report(SymmetricStateParams(1.5, 1.3, 1.0))
@@ -642,19 +651,19 @@ class TestThresholdRule:
         assert_rejects(lambda: sec.any_x0_secure(P111, []), "x0_grid must not be empty")
 
     def test_one_rule_in_src(self):
-        # _check_x0 is defined only in gaussian, and security raises no
+        # _thresholds and _check_x0 are defined only in gaussian, and security raises no
         # InvalidInput about a threshold x0 (x0_max and x0_grid are its own parameters)
         defs, messages = [], []
         for path in pathlib.Path(gaussian.__file__).parent.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.FunctionDef) and node.name == "_check_x0":
+                if isinstance(node, ast.FunctionDef) and node.name in ("_check_x0", "_thresholds"):
                     defs.append(path.stem)
                 if (path.stem == "security" and isinstance(node, ast.Raise)
                         and getattr(node.exc.func, "id", None) == "InvalidInput"):
                     # a message's first literal part, f-strings included
                     messages.append(next(n.value for n in ast.walk(node.exc.args[0])
                                          if isinstance(n, ast.Constant)))
-        assert defs == ["gaussian"]
+        assert defs == ["gaussian", "gaussian"]
         assert messages and not [m for m in messages if m.startswith("x0 ")], messages
 
     def test_search_and_attack_scans_never_check_a_threshold(self, monkeypatch):
@@ -663,8 +672,9 @@ class TestThresholdRule:
         def forbidden(x0):
             raise AssertionError("a threshold was checked")
 
-        monkeypatch.setattr(gaussian, "_check_x0", forbidden)
-        monkeypatch.setattr(sec, "_check_x0", forbidden)
+        for name in ("_check_x0", "_thresholds"):
+            monkeypatch.setattr(gaussian, name, forbidden)
+            monkeypatch.setattr(sec, name, forbidden)
         assert sec.build_report(P111).rate_lb > 0
         assert sec.optimize_rate(P111)[1] > 0
         for attack in (sec.INDIVIDUAL, sec.GENERAL):
