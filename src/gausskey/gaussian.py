@@ -38,7 +38,7 @@ _OVERLAP_PHASE_SIGN = +1.0
 
 @lru_cache(maxsize=None)
 def _j(n):
-    j = np.kron(np.eye(int(n)), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    j = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
     j.flags.writeable = False
     return j
 
@@ -47,8 +47,10 @@ def xxpp_indices(n):
     """Index array mapping mode-major order to (X..X, P..P) order.
 
     ``m[np.ix_(idx, idx)]`` re-expresses a mode-major matrix in the
-    position-block/momentum-block basis.
+    position-block/momentum-block basis.  ``n``, the number of modes, is read
+    by :func:`~gausskey.matkit._int`.
     """
+    n = matkit._int(n, "n must be a nonnegative integer")
     return np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]
 
 
@@ -94,18 +96,18 @@ def is_physical(cm):
 
 
 def _mode_signs(n, modes_of_a):
-    modes = sorted(set(int(m) for m in modes_of_a))
-    if any(m < 0 or m >= n for m in modes):
-        raise InvalidInput("mode index out of range")
+    """``+1`` per quadrature, ``-1`` on the momenta of ``modes_of_a``, a list of
+    mode indices in ``[0, n)`` read by :func:`~gausskey.matkit._indices`."""
     signs = np.ones(2 * n)
-    for m in modes:
+    for m in matkit._indices(modes_of_a, "modes must be indices in [0, n_modes)", n):
         signs[2 * m + 1] = -1.0
     return signs
 
 
 def partial_transpose(cm, modes_of_a):
     """Partial transposition at the CM level: flip the momentum signs of
-    the given modes."""
+    the given modes, a list of integer mode indices; an empty one flips
+    nothing."""
     cm = _check_cm(cm)
     t = _mode_signs(cm.shape[0] // 2, modes_of_a)
     return (t[:, None] * cm) * t[None, :]
@@ -215,8 +217,9 @@ class ConditionalGaussian:
 def condition_on_x(state, measured_modes, outcomes):
     """Condition a Gaussian state on ideal X-homodyne outcomes.
 
-    ``measured_modes`` is a proper, non-empty subset of modes; ``outcomes``
-    holds one X value per measured mode.  The remaining state is
+    ``measured_modes`` is a proper, non-empty subset of modes, listed by
+    integer index (``2.0`` is not one); ``outcomes`` holds one X value per
+    measured mode.  The remaining state is
 
         cm' = G_rr - G_rx G_xx^-1 G_xr
         dv' = dv_r + G_rx G_xx^-1 (x - dv_x)
@@ -228,9 +231,7 @@ def condition_on_x(state, measured_modes, outcomes):
     :func:`_in_units`; one past the float range raises :class:`InvalidInput`.
     """
     n = state.n_modes
-    modes = sorted(set(int(m) for m in measured_modes))
-    if any(m < 0 or m >= n for m in modes):
-        raise InvalidInput("measured mode index out of range")
+    modes = matkit._indices(measured_modes, "measured modes must be indices in [0, n_modes)", n)
     if len(modes) == 0 or len(modes) == n:
         raise InvalidInput("measured modes must be a proper non-empty subset")
     outcomes = matkit._reals(outcomes, "outcomes must be finite")
@@ -292,7 +293,9 @@ class SymmetricStateParams:
     still overflow, and at ``lam == cx`` that makes the product NaN, so only
     a product known to pass is accepted.  It allows the same -1e-9 band as
     the matrix-level :func:`is_physical`, so boundary states built from
-    rounded square roots stay inside the family.
+    rounded square roots stay inside the family.  Each parameter must be a
+    finite real number (:func:`~gausskey.matkit._finite`); a string or an
+    array is refused like NaN.
     """
 
     lam: float
@@ -300,8 +303,7 @@ class SymmetricStateParams:
     cp: float
 
     def __post_init__(self):
-        vals = (self.lam, self.cx, self.cp)
-        if not all(math.isfinite(v) for v in vals):
+        if not matkit._finite(self.lam, self.cx, self.cp):
             raise InvalidInput("parameters must be finite")
         if self.lam < 0 or not self.cx >= self.cp >= 0:
             raise InvalidInput("need lam >= 0 and cx >= cp >= 0")

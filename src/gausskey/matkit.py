@@ -14,9 +14,16 @@ routines with the validation and conventions the rest of the code relies on:
 * ``Rng``, a counter-based Philox stream that can be split by index so that
   parallel Monte-Carlo results do not depend on scheduling,
 * entropy helpers in bits.
+
+It also holds the package's readers of what a caller passes: ``_reals`` for
+arrays of real (or, where asked, complex) numbers, ``_int`` and ``_indices``
+for counts, seeds, block sizes and mode or axis indices, and ``_finite`` for
+the scalar parameters of the dataclasses.  Each raises :class:`InvalidInput`
+with its caller's message, never a bare Python or numpy error.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -26,16 +33,51 @@ _SCAN_POINTS = 64  # points per scan of minimize_scalar
 _SCAN_INDEX = np.arange(float(_SCAN_POINTS))
 
 
-def _reals(values, message):
+def _finite(*values):
+    """True iff every value is a finite real number; a string, an array of
+    several entries or a complex number is not.  Plain Python: no numpy call."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except TypeError:
+        return False
+
+
+def _reals(values, message, kinds="biuf"):
     """``values`` as floats, if numpy reads them as one regular array of finite
-    bools, ints or floats; otherwise :class:`InvalidInput` with ``message``."""
+    entries whose dtype kind is in ``kinds``: bools, ints or floats, and with
+    ``kinds="biufc"`` also complex numbers, which stay complex.  Otherwise
+    :class:`InvalidInput` with ``message``."""
     try:
         a = np.asarray(values)
     except ValueError:  # a ragged nesting
         raise InvalidInput(message) from None
-    if a.dtype.kind not in "biuf" or not np.isfinite(a).all():
+    # a NaN or inf shows in the min or max of its part: no temporary the size of ``a``
+    parts = (a.real, a.imag) if a.dtype.kind == "c" else (a,)
+    if a.dtype.kind not in kinds or not _finite(*(m(initial=0) for p in parts for m in (p.min, p.max))):
         raise InvalidInput(message)
-    return a.astype(float, copy=False)
+    return a.astype(complex if a.dtype.kind == "c" else float, copy=False)
+
+
+def _int(value, message, lo=0, hi=math.inf):
+    """``value`` as a Python int, if :func:`operator.index` takes it (a Python
+    or numpy integer, or a 0-d integer array, never ``2.0``) and it lies in
+    ``[lo, hi)``; otherwise :class:`InvalidInput` with ``message``.  Plain
+    Python: no numpy call."""
+    try:
+        if lo <= (i := operator.index(value)) < hi:
+            return i
+    except TypeError:  # not an integer
+        pass
+    raise InvalidInput(message)
+
+
+def _indices(values, message, hi):
+    """The distinct entries of the iterable ``values``, each read by
+    :func:`_int` in ``[0, hi)``, ascending; an empty one gives ``[]``."""
+    try:
+        return sorted({_int(v, message, 0, hi) for v in values})
+    except TypeError:  # not iterable, a bare int say
+        raise InvalidInput(message) from None
 
 
 class Rng:
@@ -50,46 +92,40 @@ class Rng:
     CHILD_BITS = 20  # up to 2**20 children per node, three levels deep
 
     def __init__(self, seed, stream=0):
-        if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-            raise InvalidInput("seed must be an integer in [0, 2**64)")
-        if not isinstance(stream, (int, np.integer)) or not 0 <= int(stream) < 2**60:
-            raise InvalidInput("stream must be an integer in [0, 2**60)")
-        self.seed = int(seed)
-        self.stream = int(stream)
-        bitgen = np.random.Philox(counter=self.stream << 192, key=self.seed)
-        self.generator = np.random.Generator(bitgen)
+        self.seed = _int(seed, "seed must be an integer in [0, 2**64)", 0, 2**64)
+        self.stream = _int(stream, "stream must be an integer in [0, 2**60)", 0, 2**60)
+        self.generator = np.random.Generator(np.random.Philox(counter=self.stream << 192, key=self.seed))
 
     def substream(self, index):
-        """Return the ``index``-th child stream of this stream."""
-        if not 0 <= int(index) < 2**self.CHILD_BITS:
-            raise InvalidInput(f"substream index must be in [0, 2**{self.CHILD_BITS})")
-        return Rng(self.seed, (self.stream << self.CHILD_BITS) + int(index) + 1)
+        """Return the ``index``-th child stream of this stream; ``index`` is
+        read by :func:`_int`."""
+        i = _int(index, f"substream index must be an integer in [0, 2**{self.CHILD_BITS})",
+                 0, 1 << self.CHILD_BITS)
+        return Rng(self.seed, (self.stream << self.CHILD_BITS) + i + 1)
 
     def bits(self, n):
-        """n uniform random bits as a uint8 array."""
-        return self.generator.integers(0, 2, size=int(n), dtype=np.uint8)
+        """``n`` uniform random bits as a uint8 array; ``n`` is read by
+        :func:`_int`."""
+        n = _int(n, "bit count must be a nonnegative integer")
+        return self.generator.integers(0, 2, size=n, dtype=np.uint8)
 
 
 def eigh(h):
     """Eigendecomposition of a Hermitian matrix.
 
-    Accepts real-symmetric or complex-Hermitian input; deviations from
-    Hermiticity up to ``1e-12 * (1 + max|h|)`` are symmetrized away, larger
-    ones are rejected.  Returns ``(eigenvalues ascending, eigenvector columns)``.
+    Accepts real-symmetric or complex-Hermitian input, read by :func:`_reals`
+    with complex entries admitted; deviations from Hermiticity up to
+    ``1e-12 * (1 + max|h|)`` are symmetrized away, larger ones are rejected.
+    Returns ``(eigenvalues ascending, eigenvector columns)``.
     """
-    h = np.asarray(h)
-    if not np.isfinite(h).all():
-        raise InvalidInput("matrix contains non-finite entries")
+    h = _reals(h, "matrix contains non-finite entries", "biufc")
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InvalidInput("matrix must be square")
     if h.shape[0] > 64:
         raise InvalidInput("kernel supports dimension 64 at most")
-    scale = 1.0 + (np.abs(h).max() if h.size else 0.0)
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
+    if np.abs(h - h.conj().T).max(initial=0.0) > 1e-12 * (1.0 + np.abs(h).max(initial=0.0)):
         raise InvalidInput("matrix is not Hermitian within tolerance")
-    h = 0.5 * (h + h.conj().T)
-    w, v = np.linalg.eigh(h)
-    return w, v
+    return tuple(np.linalg.eigh(0.5 * (h + h.conj().T)))
 
 
 def pseudo_inverse(m, tol=1e-10):
@@ -140,7 +176,8 @@ def sample_mvn(cov, n, rng):
 
     Uses the spectral square root of ``cov``; eigenvalues below ``-1e-8``
     raise :class:`NotPSD`, small negative ones from rounding are clipped.
-    Output shape is ``(n, dim)`` and is fully determined by ``rng``.
+    ``cov`` is read by :func:`_reals` and ``n`` by :func:`_int`.  Output shape
+    is ``(n, dim)`` and is fully determined by ``rng``.
     """
     cov = _reals(cov, "cov contains non-finite entries")
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -151,7 +188,7 @@ def sample_mvn(cov, n, rng):
     if w.min(initial=0.0) < -1e-8:
         raise NotPSD(f"covariance has eigenvalue {w.min()}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    z = rng.generator.standard_normal((int(n), cov.shape[0]))
+    z = rng.generator.standard_normal((_int(n, "sample count must be a nonnegative integer"), cov.shape[0]))
     return z @ root
 
 

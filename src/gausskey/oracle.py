@@ -16,7 +16,6 @@ with ``U = A^{-1}`` and ``V = -A^{-1} B``; the vacuum maps to ``U = I``,
 ``V = 0``, ``psi = pi^{-1/4} exp(-x^2/2)``.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,16 +27,20 @@ from .errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 
 @dataclass(frozen=True)
 class GridAxis:
-    """A symmetric uniform grid; the odd point count keeps 0 on the grid."""
+    """A symmetric uniform grid; the odd point count keeps 0 on the grid.
+
+    ``lo`` and ``hi`` must be finite real numbers and ``points`` an integer
+    (``41.0`` is not one), read by :func:`~gausskey.matkit._int`.
+    """
 
     lo: float
     hi: float
     points: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+        if not (matkit._finite(self.lo, self.hi) and self.lo < self.hi):
             raise InvalidInput("need finite lo < hi")
-        if self.points < 3 or self.points % 2 == 0:
+        if matkit._int(self.points, "points per axis must be odd and at least 3", 3) % 2 == 0:
             raise InvalidInput("points per axis must be odd and at least 3")
         if abs(self.lo + self.hi) > 1e-12 * (abs(self.lo) + abs(self.hi)):
             raise InvalidInput("axis must be symmetric about 0")
@@ -54,13 +57,14 @@ class GridAxis:
 @dataclass(frozen=True)
 class GridWavefunction:
     """Complex amplitudes over the tensor grid, normalized so that
-    ``sum |psi|^2 dx^n = 1``."""
+    ``sum |psi|^2 dx^n = 1``; the amplitudes are read by
+    :func:`~gausskey.matkit._reals` with complex entries admitted."""
 
     axis: GridAxis
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = matkit._reals(self.amplitudes, "amplitudes are not finite", "biufc")
         if amp.ndim < 1 or amp.ndim > 4:
             raise InvalidInput("between 1 and 4 modes supported")
         if any(s != self.axis.points for s in amp.shape):
@@ -68,7 +72,7 @@ class GridWavefunction:
         norm2 = _norm2(amp, self.axis)
         if abs(norm2 - 1.0) > 1e-6:
             raise InvalidInput(f"wavefunction norm^2 is {norm2}, not 1")
-        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "amplitudes", amp.astype(complex, copy=False))
 
     @property
     def n_modes(self):
@@ -175,9 +179,9 @@ def grid_overlap(a, b):
 
 
 def _snap(axis, x):
-    i = int(round((x - axis.lo) / axis.spacing))
-    if not 0 <= i < axis.points:
-        raise InvalidInput(f"outcome {x} outside the grid")
+    # an x past the grid by a spacing is rejected before its division can overflow
+    i = int(round((x - axis.lo) / axis.spacing)) if abs(x) <= axis.hi + axis.spacing else -1
+    i = matkit._int(i, f"outcome {x} outside the grid", 0, axis.points)
     node = axis.nodes[i]
     if abs(node - x) > 1e-9:
         warnings.warn(f"outcome {x} snapped to grid node {node}")
@@ -187,12 +191,12 @@ def _snap(axis, x):
 def grid_condition_on_x(psi, measured_axes, outcomes):
     """Slice the amplitudes at the measured coordinates and renormalize.
 
-    Renormalization is by a positive real constant, so relative phases
-    between slices of one wavefunction stay physical.
+    ``measured_axes`` lists integer axis indices, read by
+    :func:`~gausskey.matkit._indices`.  Renormalization is by a positive real
+    constant, so relative phases between slices of one wavefunction stay
+    physical.
     """
-    axes = sorted(set(int(m) for m in measured_axes))
-    if any(m < 0 or m >= psi.n_modes for m in axes):
-        raise InvalidInput("measured axis out of range")
+    axes = matkit._indices(measured_axes, "measured axes must be indices in [0, n_modes)", psi.n_modes)
     if len(axes) == 0 or len(axes) == psi.n_modes:
         raise InvalidInput("measured axes must be a proper non-empty subset")
     outcomes = np.atleast_1d(matkit._reals(outcomes, "outcomes are not finite"))

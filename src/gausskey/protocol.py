@@ -35,7 +35,9 @@ class ProtocolConfig:
     """Knobs of the measurement + distillation run.
 
     ``window`` is the acceptance half-width around ``x0``; the closed-form
-    comparisons assume it is small against ``x0``.
+    comparisons assume it is small against ``x0``.  ``x0`` and ``window`` are
+    finite positive numbers, and the counts ``n_pairs`` and ``block_n``
+    integers of at least 1, read by :func:`~gausskey.matkit._int`.
     """
 
     x0: float
@@ -45,12 +47,12 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and self.x0 > 0):
+        if not (matkit._finite(self.x0) and self.x0 > 0):
             raise InvalidInput("x0 must be finite and positive")
-        if not (math.isfinite(self.window) and self.window > 0):
+        if not (matkit._finite(self.window) and self.window > 0):
             raise InvalidInput("window must be finite and positive")
-        if self.n_pairs < 1 or self.block_n < 1:
-            raise InvalidInput("counts must be at least 1")
+        for count in (self.n_pairs, self.block_n):
+            matkit._int(count, "counts must be integers of at least 1", 1)
         if self.window > self.x0 / 5.0:
             warnings.warn("window larger than x0/5; closed-form comparisons degrade")
 
@@ -97,22 +99,21 @@ def error_probability(p, x0):
 
 def ad_error(eps, n):
     """Error probability after one advantage-distillation round over blocks
-    of size ``n``: ``eps^n / ((1 - eps)^n + eps^n)``."""
+    of size ``n``: ``eps^n / ((1 - eps)^n + eps^n)``.  ``n`` is read by
+    :func:`~gausskey.matkit._int`."""
     if not 0.0 <= eps < 1.0:
         raise InvalidInput("eps must lie in [0, 1)")
-    if n < 1:
-        raise InvalidInput("block size must be at least 1")
+    n = matkit._int(n, "block size must be an integer of at least 1", 1)
     num = eps**n
     return float(num / ((1.0 - eps) ** n + num))
 
 
 def ad_error_bound(eps, n):
     """The simple upper bound ``(eps / (1 - eps))^n`` on :func:`ad_error`;
-    tight as n grows."""
+    tight as n grows.  ``n`` is read by :func:`~gausskey.matkit._int`."""
     if not 0.0 <= eps < 1.0:
         raise InvalidInput("eps must lie in [0, 1)")
-    if n < 1:
-        raise InvalidInput("block size must be at least 1")
+    n = matkit._int(n, "block size must be an integer of at least 1", 1)
     return float((eps / (1.0 - eps)) ** n)
 
 
@@ -175,8 +176,9 @@ def simulate_sifting(p, cfg, rng, workers=1):
     """Monte-Carlo the measurement + postselection step.
 
     Sampling is chunked, one child stream of ``rng`` per fixed-size chunk, so
-    the output depends only on ``rng`` and ``cfg``, never on ``workers``.  At
-    most one thread per CPU and per chunk is started, whatever ``workers`` asks.
+    the output depends only on ``rng`` and ``cfg``, never on ``workers``, an
+    integer of at least 1 read by :func:`~gausskey.matkit._int`.  At most one
+    thread per CPU and per chunk is started, whatever ``workers`` asks.
     """
     n_chunks = -(-cfg.n_pairs // _SIFT_CHUNK)
     if n_chunks > _MAX_CHUNKS:
@@ -185,7 +187,8 @@ def simulate_sifting(p, cfg, rng, workers=1):
     def run(i):
         return _sift_chunk(p, cfg, rng.substream(i), min(_SIFT_CHUNK, cfg.n_pairs - i * _SIFT_CHUNK))
 
-    workers = min(workers, n_chunks, os.cpu_count() or 1)
+    workers = min(matkit._int(workers, "workers must be an integer of at least 1", 1),
+                  n_chunks, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -206,12 +209,13 @@ def simulate_advantage_distillation(bits, block_n, rng):
     random bit ``b`` and publishes the XOR mask that maps her block symbols
     to ``b``; Bob applies the mask to his symbols and accepts the block only
     if all unmasked values agree.  Surviving blocks contribute one bit pair.
+    ``block_n`` is read by :func:`~gausskey.matkit._int`.
     """
     n_bits = len(bits.alice)
     if n_bits == 0:
         raise InvalidInput("no sifted bits to distill")
-    if not 1 <= block_n <= n_bits:
-        raise InvalidInput("block size must be in [1, number of sifted bits]")
+    block_n = matkit._int(block_n, "block size must be an integer in [1, number of sifted bits]",
+                          1, n_bits + 1)
     n_blocks = n_bits // block_n
     a = np.asarray(bits.alice[: n_blocks * block_n], dtype=np.uint8).reshape(n_blocks, block_n)
     b = np.asarray(bits.bob[: n_blocks * block_n], dtype=np.uint8).reshape(n_blocks, block_n)

@@ -476,15 +476,20 @@ class TestInputChecks:
         pytest.param(lambda: g.GaussianState(np.eye(2), np.array([np.inf, 0.0])),
                      "dv has non-finite entries", id="state-nonfinite-dv"),
         pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (2,), [0.0]),
-                     "measured mode index out of range", id="condition-mode-too-high"),
+                     "measured modes must be indices in [0, n_modes)", id="condition-mode-too-high"),
         pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (-1,), [0.0]),
-                     "measured mode index out of range", id="condition-mode-negative"),
+                     "measured modes must be indices in [0, n_modes)", id="condition-mode-negative"),
         pytest.param(lambda: g.condition_on_x(_THERMAL_PURIFIED, (0,), [np.nan]),
                      "outcomes must be finite", id="condition-nonfinite-outcome"),
         pytest.param(lambda: g.condition_on_x(_GAIN_2, (0,), [1e308]),
                      "conditioned displacement exceeds the float range", id="condition-dv-overflow"),
         pytest.param(lambda: g.pure_overlap(np.eye(2), np.zeros(3), np.zeros(2)),
                      "displacement length must match the CM dimension", id="overlap-dv-length"),
+        # math.isfinite would raise a bare TypeError
+        pytest.param(lambda: g.SymmetricStateParams("a", 1.0, 1.0), "parameters must be finite",
+                     id="params-string"),
+        pytest.param(lambda: g.SymmetricStateParams(np.array([1.5, 2.0]), 1.0, 1.0), "parameters must be finite",
+                     id="params-array"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

@@ -344,9 +344,9 @@ class TestInputChecks:
                      id="rng-stream-negative"),
         pytest.param(lambda: matkit.Rng(1, 2**60), "stream must be an integer in [0, 2**60)",
                      id="rng-stream-too-high"),
-        pytest.param(lambda: matkit.Rng(1).substream(-1), "substream index must be in [0, 2**20)",
+        pytest.param(lambda: matkit.Rng(1).substream(-1), "substream index must be an integer in [0, 2**20)",
                      id="substream-negative"),
-        pytest.param(lambda: matkit.Rng(1).substream(2**20), "substream index must be in [0, 2**20)",
+        pytest.param(lambda: matkit.Rng(1).substream(2**20), "substream index must be an integer in [0, 2**20)",
                      id="substream-too-high"),
     ])
     def test_rejects(self, call, message):

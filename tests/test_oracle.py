@@ -432,7 +432,7 @@ class TestInputChecks:
         pytest.param(lambda: o.GridWavefunction(_TINY, np.ones(3)),
                      "wavefunction norm^2 is 3.0, not 1", id="wavefunction-norm"),
         pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [2], [0.0]),
-                     "measured axis out of range", id="condition-axis-range"),
+                     "measured axes must be indices in [0, n_modes)", id="condition-axis-range"),
         pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [0, 1], [0.0, 0.0]),
                      "measured axes must be a proper non-empty subset", id="condition-all-axes"),
         pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [], []),
@@ -442,6 +442,15 @@ class TestInputChecks:
         # sqrt(-0.1) would warn and put NaN in the spectrum
         pytest.param(lambda: o.grid_reduced_spectrum([-0.1, 0.4, 0.35, 0.35], [_VACUUM2] * 4),
                      "weights must be finite and nonnegative", id="spectrum-negative-weight"),
+        # (x - lo) / spacing would overflow to inf and end in a bare OverflowError
+        pytest.param(lambda: o.grid_condition_on_x(_VACUUM2, [0], [1e308]),
+                     "outcome 1e+308 outside the grid", id="condition-huge-outcome"),
+        pytest.param(lambda: o.grid_sector_states(np.eye(6), np.zeros(6), _AXIS, 1e308),
+                     "outcome 1e+308 outside the grid", id="sector-huge-x0"),
+        # math.isfinite would raise a bare TypeError
+        pytest.param(lambda: o.GridAxis("a", 8.0, 41), "need finite lo < hi", id="axis-string-lo"),
+        pytest.param(lambda: o.GridAxis(-8.0, np.array([8.0, 9.0]), 41), "need finite lo < hi",
+                     id="axis-array-hi"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

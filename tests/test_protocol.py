@@ -328,9 +328,9 @@ _NO_BITS = pr.SiftedBits(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.0)
 class TestInputChecks:
     # input checks that no other test takes, each with its exact message
     @pytest.mark.parametrize("call, message", [
-        pytest.param(lambda: pr.ad_error(0.1, 0), "block size must be at least 1", id="ad-block-0"),
-        pytest.param(lambda: pr.ad_error_bound(0.1, 0), "block size must be at least 1", id="bound-block-0"),
-        pytest.param(lambda: pr.ad_error_bound(0.1, -1), "block size must be at least 1",
+        pytest.param(lambda: pr.ad_error(0.1, 0), "block size must be an integer of at least 1", id="ad-block-0"),
+        pytest.param(lambda: pr.ad_error_bound(0.1, 0), "block size must be an integer of at least 1", id="bound-block-0"),
+        pytest.param(lambda: pr.ad_error_bound(0.1, -1), "block size must be an integer of at least 1",
                      id="bound-block-negative"),
         pytest.param(lambda: pr.ad_error_bound(1.0, 2), "eps must lie in [0, 1)", id="bound-eps-1"),
         pytest.param(lambda: pr.ad_error_bound(-0.1, 2), "eps must lie in [0, 1)",
@@ -345,6 +345,11 @@ class TestInputChecks:
                      "x0 must be one finite nonzero number", id="error-probability-2-thresholds"),
         pytest.param(lambda: pr.error_probability(P111, [1.0]),
                      "x0 must be one finite nonzero number", id="error-probability-1-threshold"),
+        # math.isfinite would raise a bare TypeError
+        pytest.param(lambda: pr.ProtocolConfig("a", 0.1, 1000, 2, 1), "x0 must be finite and positive",
+                     id="config-string-x0"),
+        pytest.param(lambda: pr.ProtocolConfig(1.0, 1j, 1000, 2, 1), "window must be finite and positive",
+                     id="config-complex-window"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)
