@@ -18,8 +18,8 @@ routines with the validation and conventions the rest of the code relies on:
 It also holds the package's readers of what a caller passes: ``_reals`` for
 arrays of real (or, where asked, complex) numbers, ``_int`` and ``_indices``
 for counts, seeds, block sizes and mode or axis indices, and ``_finite`` for
-the scalar parameters of the dataclasses.  Each raises :class:`InvalidInput`
-with its caller's message, never a bare Python or numpy error.
+every real scalar.  Each raises :class:`InvalidInput` with its caller's
+message, never a bare Python or numpy error.
 """
 
 import math
@@ -35,10 +35,11 @@ _SCAN_INDEX = np.arange(float(_SCAN_POINTS))
 
 def _finite(*values):
     """True iff every value is a finite real number; a string, an array of
-    several entries or a complex number is not.  Plain Python: no numpy call."""
+    several entries, a complex number or an int too large for a float is not.
+    Plain Python: no numpy call."""
     try:
         return all(math.isfinite(v) for v in values)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 
@@ -132,7 +133,7 @@ def pseudo_inverse(m, tol=1e-10):
     """Moore-Penrose pseudo-inverse with singular values below
     ``tol * sigma_max`` treated as zero."""
     m = _reals(m, "matrix contains non-finite entries")
-    if not tol > 0:
+    if not (_finite(tol) and tol > 0):
         raise InvalidInput("tol must be positive")
     if m.ndim != 2:
         raise InvalidInput("matrix must be two-dimensional")
@@ -148,13 +149,16 @@ def minimize_scalar(f, lo, hi, tol=1e-8):
     that bracket is at most ``tol`` wide (or stops shrinking at the
     floating-point resolution of huge brackets).  For a unimodal basin the
     returned ``x`` is within ``tol`` of its argmin.  Returns the best scanned
-    point and its value ``(x, f(x))``.
+    point and its value ``(x, f(x))``.  ``lo``, ``hi`` and ``tol`` are read by
+    :func:`_finite`, so a numeric string is refused.
     """
+    if not (_finite(lo, hi) and lo < hi):
+        raise InvalidInput("need finite lo < hi")
+    if not _finite(tol):
+        raise InvalidInput("tol must be finite")
     # the bracket is kept in Python floats: the same IEEE arithmetic as
     # numpy scalars, without their per-operation overhead
     lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidInput("need finite lo < hi")
 
     while True:
         # np.linspace's arithmetic, bar its rescue of a step that underflows to 0

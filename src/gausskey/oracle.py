@@ -29,8 +29,9 @@ from .errors import GridTooSmall, InvalidInput, OutcomeUnlikely
 class GridAxis:
     """A symmetric uniform grid; the odd point count keeps 0 on the grid.
 
-    ``lo`` and ``hi`` must be finite real numbers and ``points`` an integer
-    (``41.0`` is not one), read by :func:`~gausskey.matkit._int`.
+    ``lo``, ``hi`` and their difference must be finite real numbers and
+    ``points`` an integer (``41.0`` is not one), read by
+    :func:`~gausskey.matkit._int`.
     """
 
     lo: float
@@ -38,11 +39,15 @@ class GridAxis:
     points: int
 
     def __post_init__(self):
-        if not (matkit._finite(self.lo, self.hi) and self.lo < self.hi):
+        # plain floats: a numpy subtraction would warn where hi - lo overflows
+        if not (matkit._finite(self.lo, self.hi) and matkit._finite(float(self.hi) - float(self.lo))
+                and self.lo < self.hi):
             raise InvalidInput("need finite lo < hi")
         if matkit._int(self.points, "points per axis must be odd and at least 3", 3) % 2 == 0:
             raise InvalidInput("points per axis must be odd and at least 3")
-        if abs(self.lo + self.hi) > 1e-12 * (abs(self.lo) + abs(self.hi)):
+        # halves: the sum of two huge bounds would overflow to inf, which no
+        # tolerance could then tell from a symmetric axis
+        if abs(self.lo / 2 + self.hi / 2) > 5e-13 * (self.hi - self.lo):
             raise InvalidInput("axis must be symmetric about 0")
 
     @property

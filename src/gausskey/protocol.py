@@ -68,7 +68,7 @@ class SiftedBits:
     def __post_init__(self):
         if len(self.alice) != len(self.bob):
             raise InvalidInput("bit lists must have equal length")
-        if not 0.0 <= self.acceptance_rate <= 1.0:
+        if not (matkit._finite(self.acceptance_rate) and 0.0 <= self.acceptance_rate <= 1.0):
             raise InvalidInput("acceptance rate must be a probability")
 
 
@@ -97,23 +97,29 @@ def error_probability(p, x0):
     return g / (1.0 + g)
 
 
+def _block_size(eps, n):
+    """The one input check of :func:`ad_error` and :func:`ad_error_bound`:
+    ``eps`` is one finite number in ``[0, 1)``, read by
+    :func:`~gausskey.matkit._finite`, and the block size ``n``, returned, is
+    read by :func:`~gausskey.matkit._int`."""
+    if not (matkit._finite(eps) and 0.0 <= eps < 1.0):
+        raise InvalidInput("eps must lie in [0, 1)")
+    return matkit._int(n, "block size must be an integer of at least 1", 1)
+
+
 def ad_error(eps, n):
     """Error probability after one advantage-distillation round over blocks
-    of size ``n``: ``eps^n / ((1 - eps)^n + eps^n)``.  ``n`` is read by
-    :func:`~gausskey.matkit._int`."""
-    if not 0.0 <= eps < 1.0:
-        raise InvalidInput("eps must lie in [0, 1)")
-    n = matkit._int(n, "block size must be an integer of at least 1", 1)
+    of size ``n``: ``eps^n / ((1 - eps)^n + eps^n)``.  ``eps`` and ``n`` are
+    read by :func:`_block_size`."""
+    n = _block_size(eps, n)
     num = eps**n
     return float(num / ((1.0 - eps) ** n + num))
 
 
 def ad_error_bound(eps, n):
     """The simple upper bound ``(eps / (1 - eps))^n`` on :func:`ad_error`;
-    tight as n grows.  ``n`` is read by :func:`~gausskey.matkit._int`."""
-    if not 0.0 <= eps < 1.0:
-        raise InvalidInput("eps must lie in [0, 1)")
-    n = matkit._int(n, "block size must be an integer of at least 1", 1)
+    tight as n grows.  ``eps`` and ``n`` are read by :func:`_block_size`."""
+    n = _block_size(eps, n)
     return float((eps / (1.0 - eps)) ** n)
 
 

@@ -229,7 +229,7 @@ def rate_lower_bound(p, x0):
 
 def _best_rate(rows, x0_max):
     """:func:`optimize_rate` on a state's decay table."""
-    if not (np.isfinite(x0_max) and x0_max > 0):
+    if not (matkit._finite(x0_max) and x0_max > 0):
         raise InvalidInput("x0_max must be finite and positive")
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
     # a term with k = inf is 0 at every threshold; two roots, because 746 / k
@@ -277,8 +277,11 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
 
 def frontier_rails(c):
     """The rails of the ``cx = cp = c`` slice, ``(sqrt(1 + c^2), c + 1)``:
-    physical at or above the first, entangled below the second.  Plain-float
-    arithmetic, so a huge ``c`` gives ``inf`` rather than a numpy warning."""
+    physical at or above the first, entangled below the second.  ``c`` is
+    read by :func:`~gausskey.matkit._finite`; plain-float arithmetic, so a
+    huge ``c`` gives ``inf`` rather than a numpy warning."""
+    if not matkit._finite(c):
+        raise InvalidInput("c must be finite")
     c = float(c)
     return math.sqrt(1.0 + c * c), c + 1.0
 

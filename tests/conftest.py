@@ -47,6 +47,28 @@ def package_imports(module):
     return used
 
 
+# the position of the message among each call's arguments
+_MESSAGE_ARG = {"InvalidInput": 0, "_reals": 1, "_int": 1, "_indices": 1}
+
+
+def rejection_messages(path):
+    """Each message the source at ``path`` passes to ``InvalidInput`` or to the
+    readers ``matkit._reals``, ``_int`` and ``_indices``: a string literal, or
+    an f-string's leading literal; a message passed on in a variable is not
+    one."""
+    messages = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        at = _MESSAGE_ARG.get(getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        if at is not None and len(node.args) > at:
+            arg = node.args[at]
+            arg = arg.values[0] if isinstance(arg, ast.JoinedStr) else arg
+            if isinstance(arg, ast.Constant):
+                messages.append(arg.value)
+    return messages
+
+
 def assert_rejects(call, message):
     """``call()`` raises ``InvalidInput`` itself, not a subclass, with exactly ``message``."""
     with pytest.raises(InvalidInput) as info:

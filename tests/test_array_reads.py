@@ -4,7 +4,8 @@ numpy does not read as one regular array of finite bools, ints or floats
 ``InvalidInput``, never a bare numpy error, a warning or a silent NaN.  Every
 count, seed, block size and mode or axis index goes through ``matkit._int``:
 anything ``operator.index`` refuses, ``2.0`` included, or a value out of the
-reader's range ends in the reader's own ``InvalidInput`` too."""
+reader's range ends in the reader's own ``InvalidInput`` too.  And every
+message that src can reject an input with is named by some test."""
 
 import ast
 import pathlib
@@ -12,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import assert_rejects
+from conftest import assert_rejects, rejection_messages
 from gausskey import gaussian as g, matkit, oracle as o, protocol as pr, security as sec
 
 P111 = g.SymmetricStateParams(1.5, 1.0, 1.0)
@@ -238,3 +239,13 @@ def test_no_other_integer_conversion():
         calls = {n.func.attr for n in ast.walk(reader)
                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
         assert not calls & {"asarray", "isfinite"}, reader.name
+
+
+def test_every_rejection_message_is_asserted():
+    # a rejection that no test names could change its message, or stop
+    # happening, unseen
+    tests = "".join(path.read_text() for path in pathlib.Path(__file__).parent.glob("*.py"))
+    src = sorted(pathlib.Path(matkit.__file__).parent.glob("*.py"))
+    found = [(path.stem, m) for path in src for m in rejection_messages(path)]
+    assert len(found) > 80
+    assert [(stem, m) for stem, m in found if m not in tests] == []

@@ -253,6 +253,11 @@ class TestDomainErrors:
             assert out == "" and len(err.strip().splitlines()) == 1, (argv, err)
             assert not unphysical or "unphysical" in err, (argv, err)
 
+    def test_overflowing_c_range_names_it(self, capsys):
+        # each bound is finite, but np.linspace would warn on their difference
+        code, out, err = run(capsys, "frontier", "--c-min=-1e308", "--c-max", "1e308")
+        assert (code, out, err) == (2, "", "domain error: --c-min, --c-max and their difference must be finite\n")
+
     def test_overflowing_pole_exits_2(self, capsys):
         # lam == cx with lam + cp overflowing once reached symmetric_exponents'
         # division by lam - cx

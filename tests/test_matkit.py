@@ -3,7 +3,7 @@ import pytest
 
 from conftest import assert_rejects
 from gausskey import matkit
-from gausskey.errors import EvaluationError, InvalidInput, NotPSD
+from gausskey.errors import EvaluationError, NotPSD
 
 
 def char_poly_roots(h):
@@ -72,12 +72,12 @@ class TestEigh:
         assert np.all(np.diff(w) >= 0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInput):
-            matkit.eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert_rejects(lambda: matkit.eigh(np.array([[np.nan, 0.0], [0.0, 1.0]])),
+                       "matrix contains non-finite entries")
 
     def test_rejects_nonhermitian(self):
-        with pytest.raises(InvalidInput):
-            matkit.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert_rejects(lambda: matkit.eigh(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                       "matrix is not Hermitian within tolerance")
 
     def test_symmetrizes_rounding_noise(self):
         h = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
@@ -114,8 +114,7 @@ class TestPseudoInverse:
             assert np.abs((plus @ m) - (plus @ m).T).max() < 1e-9
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(InvalidInput):
-            matkit.pseudo_inverse(np.eye(2), tol=0.0)
+        assert_rejects(lambda: matkit.pseudo_inverse(np.eye(2), tol=0.0), "tol must be positive")
 
 
 class TestMinimizeScalar:
@@ -211,8 +210,7 @@ class TestMinimizeScalar:
         assert info.value.x > 0.7
 
     def test_bad_bracket(self):
-        with pytest.raises(InvalidInput):
-            matkit.minimize_scalar(lambda x: x, 1.0, 0.0)
+        assert_rejects(lambda: matkit.minimize_scalar(lambda x: x, 1.0, 0.0), "need finite lo < hi")
 
 
 class TestSampleMvn:
@@ -269,14 +267,11 @@ class TestBinaryEntropy:
         ps = np.array([[0.0, 0.11], [0.5, 1.0]])
         want = np.vectorize(matkit.binary_entropy)(ps)
         assert np.array_equal(matkit.binary_entropy(ps), want)
-        with pytest.raises(InvalidInput):
-            matkit.binary_entropy(np.array([0.2, np.nan]))
+        assert_rejects(lambda: matkit.binary_entropy(np.array([0.2, np.nan])), "probability must lie in [0, 1]")
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            matkit.binary_entropy(1.5)
-        with pytest.raises(InvalidInput):
-            matkit.binary_entropy(-0.1)
+        for p in (1.5, -0.1):
+            assert_rejects(lambda: matkit.binary_entropy(p), "probability must lie in [0, 1]")
 
 
 class TestEntropyBits:
@@ -290,8 +285,7 @@ class TestEntropyBits:
         assert matkit.entropy_bits([1.0, -1e-12]) == 0.0
 
     def test_rejects_large_negative(self):
-        with pytest.raises(InvalidInput):
-            matkit.entropy_bits([0.5, -0.5])
+        assert_rejects(lambda: matkit.entropy_bits([0.5, -0.5]), "weights must be nonnegative, got min -0.5")
 
     def test_stack_along_last_axis(self):
         got = matkit.entropy_bits([[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, -1e-12]])
@@ -321,14 +315,11 @@ class TestRng:
         )
 
     def test_rejects_bad_seed(self):
-        with pytest.raises(InvalidInput):
-            matkit.Rng(-1)
-        with pytest.raises(InvalidInput):
-            matkit.Rng(2**64)
+        assert_rejects(lambda: matkit.Rng(-1), "seed must be an integer in [0, 2**64)")
 
 
 class TestInputChecks:
-    # input checks that no other test takes, each with its exact message
+    # the module's own input rules, each row with its exact message
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: matkit.eigh(np.ones((2, 3))), "matrix must be square",
                      id="eigh-non-square"),
@@ -348,6 +339,12 @@ class TestInputChecks:
                      id="substream-negative"),
         pytest.param(lambda: matkit.Rng(1).substream(2**20), "substream index must be an integer in [0, 2**20)",
                      id="substream-too-high"),
+        # float() would accept the numeric strings; a string tol would raise a bare TypeError
+        pytest.param(lambda: matkit.minimize_scalar(lambda x: x, "0", "1"), "need finite lo < hi",
+                     id="minimize-string-bracket"),
+        pytest.param(lambda: matkit.minimize_scalar(lambda x: x, 0.0, 1.0, "a"), "tol must be finite",
+                     id="minimize-string-tol"),
+        pytest.param(lambda: matkit.pseudo_inverse(np.eye(2), "a"), "tol must be positive", id="pinv-string-tol"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

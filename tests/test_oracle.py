@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import assert_rejects, package_imports, random_physical_cm
 from gausskey import gaussian as g, oracle as o
-from gausskey.errors import GridTooSmall, InvalidInput, OutcomeUnlikely
+from gausskey.errors import GridTooSmall, OutcomeUnlikely
 
 AX = o.GridAxis(-8.0, 8.0, 201)
 
@@ -102,19 +102,16 @@ def psi4(purified_symmetric_111):
 
 class TestGridAxis:
     def test_rejects_even_points(self):
-        with pytest.raises(InvalidInput):
-            o.GridAxis(-8.0, 8.0, 200)
+        assert_rejects(lambda: o.GridAxis(-8.0, 8.0, 200), "points per axis must be odd and at least 3")
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInput):
-            o.GridAxis(-7.0, 8.0, 201)
+        assert_rejects(lambda: o.GridAxis(-7.0, 8.0, 201), "axis must be symmetric about 0")
 
     def test_finiteness_check_takes_numpy_scalars_and_ints(self):
         assert o.GridAxis(np.float32(-2.0), np.int64(2), 5).spacing == 1.0
         assert o.GridAxis(-3, 3, 7).spacing == 1.0
         for lo, hi in ((np.nan, 1.0), (-1.0, np.nan), (-np.inf, np.inf), (-np.float32("inf"), 1.0)):
-            with pytest.raises(InvalidInput, match="finite"):
-                o.GridAxis(lo, hi, 5)
+            assert_rejects(lambda: o.GridAxis(lo, hi, 5), "need finite lo < hi")
 
     def test_contains_zero(self):
         assert 0.0 in o.GridAxis(-6.0, 6.0, 41).nodes
@@ -163,8 +160,8 @@ class TestWavefunctionFromPure:
         assert np.abs(dv_est - dv).max() < 1e-6
 
     def test_rejects_mixed_state(self):
-        with pytest.raises(InvalidInput):
-            o.wavefunction_from_pure(np.diag([2.0, 2.0]), np.zeros(2), AX)
+        assert_rejects(lambda: o.wavefunction_from_pure(np.diag([2.0, 2.0]), np.zeros(2), AX),
+                       "state is not pure")
 
     def test_rejects_small_grid(self):
         with pytest.raises(GridTooSmall):
@@ -257,8 +254,7 @@ class TestGridOverlap:
     def test_rejects_grid_mismatch(self):
         a = o.wavefunction_from_pure(np.eye(2), np.zeros(2), AX)
         b = o.wavefunction_from_pure(np.eye(2), np.zeros(2), o.GridAxis(-8.0, 8.0, 101))
-        with pytest.raises(InvalidInput):
-            o.grid_overlap(a, b)
+        assert_rejects(lambda: o.grid_overlap(a, b), "wavefunctions live on different grids")
 
     def test_refinement_stability(self):
         # doubling resolution moves the result by far less than the tolerance
@@ -306,8 +302,7 @@ class TestGridConditionOnX:
     def test_rejects_non_finite_outcome(self):
         w2 = o.wavefunction_from_pure(np.eye(4), np.zeros(4), AX)
         for x in (np.inf, np.nan):
-            with pytest.raises(InvalidInput, match="not finite"):
-                o.grid_condition_on_x(w2, [0], [x])
+            assert_rejects(lambda: o.grid_condition_on_x(w2, [0], [x]), "outcomes are not finite")
 
 
 @pytest.fixture(scope="module")
@@ -349,16 +344,12 @@ class TestGridSectorStates:
     def test_rejects_bad_input(self, purified_symmetric_111):
         _, pur = purified_symmetric_111
         axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
-        with pytest.raises(InvalidInput, match="x0"):
-            o.grid_sector_states(pur.cm, pur.dv, axis, 0.0)
-        with pytest.raises(InvalidInput, match="not pure"):
-            o.grid_sector_states(2.0 * np.eye(8), np.zeros(8), axis, 1.0)
+        assert_rejects(lambda: o.grid_sector_states(pur.cm, pur.dv, axis, 0.0), "x0 must be one positive number")
+        assert_rejects(lambda: o.grid_sector_states(2.0 * np.eye(8), np.zeros(8), axis, 1.0), "state is not pure")
         with pytest.raises(GridTooSmall):
             o.grid_sector_states(pur.cm, pur.dv, o.GridAxis(-4.0, 4.0, 41), 1.0)
-        with pytest.raises(InvalidInput, match="outside the grid"):
-            o.grid_sector_states(pur.cm, pur.dv, axis, 7.0)
-        with pytest.raises(InvalidInput, match="not finite"):
-            o.grid_sector_states(pur.cm, pur.dv, axis, np.inf)
+        assert_rejects(lambda: o.grid_sector_states(pur.cm, pur.dv, axis, 7.0), "outcome 7.0 outside the grid")
+        assert_rejects(lambda: o.grid_sector_states(pur.cm, pur.dv, axis, np.inf), "x0 is not finite")
 
     def test_snaps_off_node_threshold(self, purified_symmetric_111):
         _, pur = purified_symmetric_111
@@ -402,11 +393,11 @@ class TestGridReducedSpectrum:
 
     def test_rejects_wrong_mode_count(self, sectors4):
         axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
-        with pytest.raises(InvalidInput, match="adversary mode"):
-            o.grid_sector_states(np.eye(4), np.zeros(4), axis, 1.0)
+        assert_rejects(lambda: o.grid_sector_states(np.eye(4), np.zeros(4), axis, 1.0),
+                       "need a purification with at least one adversary mode")
         weights, states = sectors4
-        with pytest.raises(InvalidInput):
-            o.grid_reduced_spectrum(weights[:3], states[:3])
+        assert_rejects(lambda: o.grid_reduced_spectrum(weights[:3], states[:3]),
+                       "need the four sectors of grid_sector_states")
 
 
 _AXIS = o.GridAxis(-8.0, 8.0, 41)
@@ -415,7 +406,7 @@ _VACUUM2 = o.wavefunction_from_pure(np.eye(4), np.zeros(4), _AXIS)
 
 
 class TestInputChecks:
-    # input checks that no other test takes, each with its exact message
+    # the module's own input rules, each row with its exact message
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: o.wavefunction_from_pure(np.eye(3), np.zeros(3), _AXIS),
                      "CM must be square with even dimension", id="pure-odd-cm"),
@@ -451,6 +442,13 @@ class TestInputChecks:
         pytest.param(lambda: o.GridAxis("a", 8.0, 41), "need finite lo < hi", id="axis-string-lo"),
         pytest.param(lambda: o.GridAxis(-8.0, np.array([8.0, 9.0]), 41), "need finite lo < hi",
                      id="axis-array-hi"),
+        # math.isfinite would raise a bare OverflowError
+        pytest.param(lambda: o.GridAxis(-10**400, 10**400, 3), "need finite lo < hi", id="axis-huge-int"),
+        # hi - lo is inf: the spacing would be inf and the nodes would warn
+        pytest.param(lambda: o.GridAxis(-1e308, 1e308, 3), "need finite lo < hi", id="axis-overflowing-span"),
+        # lo + hi would overflow to inf, and inf > 1e-12 * inf is false
+        pytest.param(lambda: o.GridAxis(1e308, 1.7e308, 3), "axis must be symmetric about 0",
+                     id="axis-huge-asymmetric"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

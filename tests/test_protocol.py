@@ -7,7 +7,6 @@ import pytest
 from conftest import assert_rejects
 from gausskey import matkit
 from gausskey import protocol as pr
-from gausskey.errors import InvalidInput
 from gausskey.gaussian import SymmetricStateParams, symmetric_exponents
 
 P111 = SymmetricStateParams(1.5, 1.0, 1.0)
@@ -61,8 +60,8 @@ class TestErrorProbability:
     def test_degenerate_pole(self):
         # lam == cx zeroes r's denominator; (lam - cx)(lam + cp) = 0 < 1, so
         # such a state is unphysical and cannot be built
-        with pytest.raises(InvalidInput, match="unphysical parameters"):
-            SymmetricStateParams(1.0, 1.0, 0.0)
+        assert_rejects(lambda: SymmetricStateParams(1.0, 1.0, 0.0),
+                       "unphysical parameters SymmetricStateParams(lam=1.0, cx=1.0, cp=0.0)")
 
     def test_matches_density_ratio(self):
         # discordant over concordant density of the measured pair pins
@@ -75,8 +74,8 @@ class TestErrorProbability:
         assert abs(pr.error_probability(P111, 1.0) - EPS111) < 1e-12
 
     def test_rejects_unphysical(self):
-        with pytest.raises(InvalidInput):
-            pr.error_probability(SymmetricStateParams(1.5, 1.3, 1.0), 1.0)
+        assert_rejects(lambda: pr.error_probability(SymmetricStateParams(1.5, 1.3, 1.0), 1.0),
+                       "unphysical parameters SymmetricStateParams(lam=1.5, cx=1.3, cp=1.0)")
 
     def test_rejects_nan_threshold(self):
         assert_rejects(lambda: pr.error_probability(P111, np.nan), "x0 must be one finite nonzero number")
@@ -113,8 +112,7 @@ class TestAdError:
         assert np.all(np.diff(above) > 0)
 
     def test_rejects_eps_one(self):
-        with pytest.raises(InvalidInput):
-            pr.ad_error(1.0, 2)
+        assert_rejects(lambda: pr.ad_error(1.0, 2), "eps must lie in [0, 1)")
 
 
 class TestSimulateSifting:
@@ -239,8 +237,8 @@ class TestSiftingSampler:
     def test_rejects_more_pairs_than_substreams(self):
         cfg = pr.ProtocolConfig(x0=1.0, window=0.01, n_pairs=pr._MAX_CHUNKS * pr._SIFT_CHUNK + 1,
                                 block_n=2, seed=0)
-        with pytest.raises(InvalidInput, match="pairs per run"):
-            pr.simulate_sifting(P111, cfg, matkit.Rng(0))
+        assert_rejects(lambda: pr.simulate_sifting(P111, cfg, matkit.Rng(0)),
+                       "at most 274877906944 pairs per run")
 
 
 class TestAdvantageDistillation:
@@ -290,43 +288,41 @@ class TestAdvantageDistillation:
 
     def test_rejects_oversized_block(self):
         bits = pr.SiftedBits(np.zeros(3, np.uint8), np.zeros(3, np.uint8), 1.0)
-        with pytest.raises(InvalidInput):
-            pr.simulate_advantage_distillation(bits, 4, matkit.Rng(0))
+        assert_rejects(lambda: pr.simulate_advantage_distillation(bits, 4, matkit.Rng(0)),
+                       "block size must be an integer in [1, number of sifted bits]")
 
 
 class TestConfigValidation:
     def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInput):
-            pr.ProtocolConfig(x0=0.0, window=0.1, n_pairs=10, block_n=2, seed=0)
-        with pytest.raises(InvalidInput):
-            pr.ProtocolConfig(x0=1.0, window=0.0, n_pairs=10, block_n=2, seed=0)
-        with pytest.raises(InvalidInput):
-            pr.ProtocolConfig(x0=1.0, window=0.1, n_pairs=0, block_n=2, seed=0)
+        assert_rejects(lambda: pr.ProtocolConfig(x0=0.0, window=0.1, n_pairs=10, block_n=2, seed=0),
+                       "x0 must be finite and positive")
+        assert_rejects(lambda: pr.ProtocolConfig(x0=1.0, window=0.0, n_pairs=10, block_n=2, seed=0),
+                       "window must be finite and positive")
 
     def test_finiteness_check_takes_numpy_scalars_and_ints(self):
         for x0, window in ((np.float64(1.0), np.float32(0.125)), (np.int64(10), 1)):
             cfg = pr.ProtocolConfig(x0=x0, window=window, n_pairs=10, block_n=2, seed=0)
             assert (cfg.x0, cfg.window) == (x0, window)
         for bad in (np.nan, np.inf, -np.inf, np.float32("nan")):
-            with pytest.raises(InvalidInput):
-                pr.ProtocolConfig(x0=bad, window=0.1, n_pairs=10, block_n=2, seed=0)
-            with pytest.raises(InvalidInput):
-                pr.ProtocolConfig(x0=1.0, window=bad, n_pairs=10, block_n=2, seed=0)
+            assert_rejects(lambda: pr.ProtocolConfig(x0=bad, window=0.1, n_pairs=10, block_n=2, seed=0),
+                           "x0 must be finite and positive")
+            assert_rejects(lambda: pr.ProtocolConfig(x0=1.0, window=bad, n_pairs=10, block_n=2, seed=0),
+                           "window must be finite and positive")
 
     def test_wide_window_warns(self):
         with pytest.warns(UserWarning):
             pr.ProtocolConfig(x0=1.0, window=0.5, n_pairs=10, block_n=2, seed=0)
 
     def test_mismatched_bits_rejected(self):
-        with pytest.raises(InvalidInput):
-            pr.SiftedBits(np.zeros(2, np.uint8), np.zeros(3, np.uint8), 0.5)
+        assert_rejects(lambda: pr.SiftedBits(np.zeros(2, np.uint8), np.zeros(3, np.uint8), 0.5),
+                       "bit lists must have equal length")
 
 
 _NO_BITS = pr.SiftedBits(np.zeros(0, np.uint8), np.zeros(0, np.uint8), 0.0)
 
 
 class TestInputChecks:
-    # input checks that no other test takes, each with its exact message
+    # the module's own input rules, each row with its exact message
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: pr.ad_error(0.1, 0), "block size must be an integer of at least 1", id="ad-block-0"),
         pytest.param(lambda: pr.ad_error_bound(0.1, 0), "block size must be an integer of at least 1", id="bound-block-0"),
@@ -350,6 +346,15 @@ class TestInputChecks:
                      id="config-string-x0"),
         pytest.param(lambda: pr.ProtocolConfig(1.0, 1j, 1000, 2, 1), "window must be finite and positive",
                      id="config-complex-window"),
+        pytest.param(lambda: pr.ad_error("a", 2), "eps must lie in [0, 1)", id="ad-string-eps"),
+        pytest.param(lambda: pr.SiftedBits(np.zeros(1, np.uint8), np.zeros(1, np.uint8), "a"),
+                     "acceptance rate must be a probability", id="sifted-rate-string"),
+        # math.isfinite would raise a bare OverflowError
+        pytest.param(lambda: pr.ProtocolConfig(10**400, 0.1, 1000, 2, 1), "x0 must be finite and positive",
+                     id="config-huge-int-x0"),
+        # a comparison with an array would raise numpy's ambiguous-truth ValueError
+        pytest.param(lambda: pr.ad_error_bound(np.array([0.1, 0.2]), 2), "eps must lie in [0, 1)",
+                     id="bound-array-eps"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)

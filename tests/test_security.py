@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import assert_rejects, package_imports, random_symmetric_params
+from conftest import assert_rejects, package_imports, random_symmetric_params, rejection_messages
 from gausskey import gaussian, matkit, protocol, security as sec
-from gausskey.errors import IllConditioned, InvalidInput
+from gausskey.errors import IllConditioned
 from gausskey.gaussian import SymmetricStateParams, npt_symmetric, symmetric_exponents, xxpp_indices
 from gausskey.protocol import error_probability
 
@@ -80,10 +80,6 @@ class TestEveEnsemble:
         assert np.abs(st_mm.dv + st_pp.dv).max() < 1e-12
         assert np.abs(st_mm.cm - st_pp.cm).max() < 1e-12
 
-    def test_rejects_zero_threshold(self):
-        with pytest.raises(InvalidInput):
-            sec.eve_ensemble(P111, 0.0)
-
 
 def reference_rho(p, x0):
     """Effective two-qubit state built on the generic ensemble of
@@ -143,8 +139,8 @@ class TestClosedFormReference:
         assert isinstance(zero_d, float) and zero_d == sec.rate_lower_bound(P111, 1.0)
 
     def test_rejects_zero_threshold_in_batch(self):
-        with pytest.raises(InvalidInput):
-            sec.rate_lower_bound(P111, np.array([0.5, 0.0]))
+        assert_rejects(lambda: sec.rate_lower_bound(P111, np.array([0.5, 0.0])),
+                       "x0 must be one finite nonzero number")
 
 
 class TestAdvantageDistillationRescaling:
@@ -328,11 +324,8 @@ class TestAnyX0Secure:
             assert all(sec.coherent_ad_secure(p, x) == slow_coh for x in grid)
 
     def test_rejects_general(self):
-        with pytest.raises(InvalidInput):
-            sec.any_x0_secure(P111, attack=sec.GENERAL)
-
-    def test_rejects_nan_grid(self):
-        assert_rejects(lambda: sec.any_x0_secure(P111, [np.nan]), "x0 must be one finite nonzero number")
+        assert_rejects(lambda: sec.any_x0_secure(P111, attack=sec.GENERAL),
+                       "use optimize_rate for the general one-way bound")
 
 
 class TestEffectiveState:
@@ -534,8 +527,8 @@ class TestBuildReport:
         assert rep.eve_overlap == sec.eve_overlap(p, rep.best_x0)
 
     def test_rejects_unphysical(self):
-        with pytest.raises(InvalidInput):
-            sec.build_report(SymmetricStateParams(1.5, 1.3, 1.0))
+        assert_rejects(lambda: sec.build_report(SymmetricStateParams(1.5, 1.3, 1.0)),
+                       "unphysical parameters SymmetricStateParams(lam=1.5, cx=1.3, cp=1.0)")
 
     def test_scan_work_and_no_second_derivation(self, monkeypatch):
         # pinned scan counts: hoisting the per-state rows must not change the
@@ -595,7 +588,7 @@ def test_overlap_attacks_never_build_a_decay_table(monkeypatch):
 
 
 class TestInputChecks:
-    # input checks that no other test takes, each with its exact message
+    # the module's own input rules, each row with its exact message
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda: sec.security_frontier([1.0], "nope"), "unknown attack kind 'nope'",
                      id="frontier-attack"),
@@ -608,8 +601,13 @@ class TestInputChecks:
                      "x0 must be one finite nonzero number", id="effective-state-7-thresholds"),
         pytest.param(lambda: sec.effective_state(P111, [1.0]),
                      "x0 must be one finite nonzero number", id="effective-state-1-threshold"),
-        pytest.param(lambda: sec.eve_overlap(P111, np.array([1.0, 2.0])),
-                     "x0 must be one finite nonzero number", id="eve-overlap-2-thresholds"),
+        # np.isfinite would raise numpy's TypeError
+        pytest.param(lambda: sec.optimize_rate(P111, "a"), "x0_max must be finite and positive",
+                     id="optimize-string-x0-max"),
+        # float() would raise a ValueError, a TypeError, or accept the numeric string
+        pytest.param(lambda: sec.frontier_rails("a"), "c must be finite", id="rails-string"),
+        pytest.param(lambda: sec.frontier_rails(np.array([0.5, 1.0])), "c must be finite", id="rails-array"),
+        pytest.param(lambda: sec.frontier_rails("1.5"), "c must be finite", id="rails-numeric-string"),
     ])
     def test_rejects(self, call, message):
         assert_rejects(call, message)
@@ -653,16 +651,10 @@ class TestThresholdRule:
     def test_one_rule_in_src(self):
         # _thresholds and _check_x0 are defined only in gaussian, and security raises no
         # InvalidInput about a threshold x0 (x0_max and x0_grid are its own parameters)
-        defs, messages = [], []
-        for path in pathlib.Path(gaussian.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.FunctionDef) and node.name in ("_check_x0", "_thresholds"):
-                    defs.append(path.stem)
-                if (path.stem == "security" and isinstance(node, ast.Raise)
-                        and getattr(node.exc.func, "id", None) == "InvalidInput"):
-                    # a message's first literal part, f-strings included
-                    messages.append(next(n.value for n in ast.walk(node.exc.args[0])
-                                         if isinstance(n, ast.Constant)))
+        defs = [path.stem for path in pathlib.Path(gaussian.__file__).parent.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name in ("_check_x0", "_thresholds")]
+        messages = rejection_messages(pathlib.Path(sec.__file__))
         assert defs == ["gaussian", "gaussian"]
         assert messages and not [m for m in messages if m.startswith("x0 ")], messages
 
