@@ -71,7 +71,9 @@ def _dump_json(obj, out_path):
 
 def _read_config(path, flags):
     """The ``key=value`` lines of a config file as ``--key=value`` tokens;
-    each key, with ``_`` read as ``-``, must name one of ``flags`` exactly."""
+    each key, with ``_`` read as ``-``, must name one of ``flags`` exactly.
+    A line whose first non-blank character is ``#`` is a comment; a ``#``
+    anywhere else is part of the line, so a value keeps it as a flag would."""
     tokens = []
     try:
         with open(path, encoding="utf-8") as fh:
@@ -79,8 +81,8 @@ def _read_config(path, flags):
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise _UsageError(f"{path}:{lineno}: expected key=value")

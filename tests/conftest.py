@@ -33,20 +33,6 @@ def random_symmetric_params(rng, lam_range=(1.0, 4.0), exclusion=0.0):
         return p
 
 
-def package_imports(module):
-    """The gausskey modules that ``module``'s source imports, by short name."""
-    with open(module.__file__) as fh:
-        tree = ast.parse(fh.read())
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gausskey")):
-            name = (node.module or "").removeprefix("gausskey").lstrip(".")
-            used |= {name} if name else {a.name for a in node.names}
-        elif isinstance(node, ast.Import):
-            used |= {a.name.removeprefix("gausskey.") for a in node.names if a.name.startswith("gausskey")}
-    return used
-
-
 # the position of the message among each call's arguments
 _MESSAGE_ARG = {"InvalidInput": 0, "_reals": 1, "_int": 1, "_indices": 1}
 

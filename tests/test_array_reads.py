@@ -96,6 +96,8 @@ def test_accepts_the_valid_value(read):
 
 @pytest.mark.parametrize("read, bad", [
     pytest.param(read, bad, id=f"{read}-{bad}") for read in _READS for bad in _BAD
+    # a threshold's non-finite values are rows of TestThresholdRule (test_security.py)
+    if not (_READS[read][2] == _X0_MESSAGE and bad in ("nan", "inf", "minus-inf"))
 ] + [
     pytest.param(read, bad, id=f"{read}-{bad}") for read in _COMPLEX_READS for bad in _BAD if bad != "complex"
 ])
@@ -115,7 +117,6 @@ def test_no_other_conversion():
                 assert "float" not in [getattr(d, "id", None) for d in dtypes], (stem, node.lineno)
             assert not (isinstance(node, ast.Attribute) and node.attr == "ravel"
                         and getattr(node.value, "id", None) == "np"), (stem, node.lineno)
-    assert not hasattr(matkit, "_require_finite")
 
 
 _BITS4 = pr.SiftedBits(np.zeros(4, np.uint8), np.zeros(4, np.uint8), 1.0)
