@@ -12,7 +12,8 @@ routines with the validation and conventions the rest of the code relies on:
 * ``sample_mvn``, multivariate normal sampling through the spectral square
   root of the covariance,
 * ``Rng``, a counter-based Philox stream that can be split by index so that
-  parallel Monte-Carlo results do not depend on scheduling,
+  parallel Monte-Carlo results do not depend on scheduling, and whose
+  generator can be re-keyed to a child in place of building a new one,
 * entropy helpers in bits.
 
 It also holds the package's readers of what a caller passes: ``_reals`` for
@@ -93,16 +94,33 @@ class Rng:
     CHILD_BITS = 20  # up to 2**20 children per node, three levels deep
 
     def __init__(self, seed, stream=0):
-        self.seed = _int(seed, "seed must be an integer in [0, 2**64)", 0, 2**64)
-        self.stream = _int(stream, "stream must be an integer in [0, 2**60)", 0, 2**60)
-        self.generator = np.random.Generator(np.random.Philox(counter=self.stream << 192, key=self.seed))
+        self.generator = np.random.Generator(np.random.Philox())
+        self._rekey(_int(seed, "seed must be an integer in [0, 2**64)", 0, 2**64), stream)
 
-    def substream(self, index):
+    def _rekey(self, seed, stream):
+        """Point the generator at ``(seed, stream)`` through its public
+        ``state``: Philox key ``seed``, counter ``stream << 192`` and an empty
+        buffer, the state ``Philox(counter=stream << 192, key=seed)`` starts
+        in.  Returns ``self``; a rejected ``stream`` leaves it as it was."""
+        stream = _int(stream, "stream must be an integer in [0, 2**60)", 0, 2**60)
+        self.seed, self.stream = seed, stream
+        self.generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, 0, stream], np.uint64),
+                      "key": np.array([seed, 0], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return self
+
+    def substream(self, index, into=None):
         """Return the ``index``-th child stream of this stream; ``index`` is
-        read by :func:`_int`."""
+        read by :func:`_int`.  Given ``into``, an :class:`Rng`, no generator
+        is built: ``into`` is re-keyed in place to that child and returned,
+        and draws exactly what a new child would."""
         i = _int(index, f"substream index must be an integer in [0, 2**{self.CHILD_BITS})",
                  0, 1 << self.CHILD_BITS)
-        return Rng(self.seed, (self.stream << self.CHILD_BITS) + i + 1)
+        stream = (self.stream << self.CHILD_BITS) + i + 1
+        return Rng(self.seed, stream) if into is None else into._rekey(self.seed, stream)
 
     def bits(self, n):
         """``n`` uniform random bits as a uint8 array; ``n`` is read by

@@ -17,6 +17,7 @@ window, so its cost scales with those pairs rather than with measured pairs.
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -184,14 +185,27 @@ def simulate_sifting(p, cfg, rng, workers=1):
     Sampling is chunked, one child stream of ``rng`` per fixed-size chunk, so
     the output depends only on ``rng`` and ``cfg``, never on ``workers``, an
     integer of at least 1 read by :func:`~gausskey.matkit._int`.  At most one
-    thread per CPU and per chunk is started, whatever ``workers`` asks.
+    thread per CPU and per chunk is started, whatever ``workers`` asks.  Each
+    worker runs as one task on one generator: it claims the next unsifted
+    chunk until none is left, and re-keys its generator to that chunk's child
+    stream.  Claiming rather than a fixed share of the chunks keeps a worker
+    that the machine slows down from holding up the others.
     """
     n_chunks = -(-cfg.n_pairs // _SIFT_CHUNK)
     if n_chunks > _MAX_CHUNKS:
         raise InvalidInput(f"at most {_MAX_CHUNKS * _SIFT_CHUNK} pairs per run")
+    results = [None] * n_chunks
+    todo, claim = iter(range(n_chunks)), threading.Lock()
 
-    def run(i):
-        return _sift_chunk(p, cfg, rng.substream(i), min(_SIFT_CHUNK, cfg.n_pairs - i * _SIFT_CHUNK))
+    def sift(_):
+        child = matkit.Rng(rng.seed)
+        while True:
+            with claim:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = _sift_chunk(p, cfg, rng.substream(i, into=child),
+                                     min(_SIFT_CHUNK, cfg.n_pairs - i * _SIFT_CHUNK))
 
     workers = min(matkit._int(workers, "workers must be an integer of at least 1", 1),
                   n_chunks, os.cpu_count() or 1)
@@ -199,9 +213,9 @@ def simulate_sifting(p, cfg, rng, workers=1):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(n_chunks)))
+            list(pool.map(sift, range(workers)))
     else:
-        results = [run(i) for i in range(n_chunks)]
+        sift(0)
 
     alice = np.concatenate([r[0] for r in results])
     bob = np.concatenate([r[1] for r in results])

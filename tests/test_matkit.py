@@ -317,6 +317,36 @@ class TestRng:
     def test_rejects_bad_seed(self):
         assert_rejects(lambda: matkit.Rng(-1), "seed must be an integer in [0, 2**64)")
 
+    @pytest.mark.parametrize("index", [0, 1, 2**20 - 1])
+    def test_rekeyed_generator_draws_as_new_substream(self, index):
+        # the re-keyed generator starts where numpy's own Philox for the child's
+        # (key, counter) starts, whatever buffered Philox words or spare 32-bit
+        # half its last draws left
+        base = matkit.Rng(42, 7)
+        stream = (7 << 20) + index + 1
+        draws = (lambda g: g.random(5), lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                 lambda g: g.standard_normal(9))
+        child = base.substream(5)
+        for draw in draws:
+            fresh = [np.random.Generator(np.random.Philox(counter=stream << 192, key=42)),
+                     base.substream(index).generator]
+            draw(child.generator)  # a partial draw on the chunk before
+            assert base.substream(index, into=child) is child
+            assert (child.seed, child.stream) == (42, stream)
+            for d in draws:
+                got = d(child.generator)
+                for gen in fresh:
+                    assert np.array_equal(got, d(gen))
+
+    def test_rekey_rejects_as_substream(self):
+        base, child = matkit.Rng(3), matkit.Rng(3, 9)
+        assert_rejects(lambda: base.substream(2**20, into=child),
+                       "substream index must be an integer in [0, 2**20)")
+        deepest = matkit.Rng(3).substream(0).substream(0).substream(0)
+        assert_rejects(lambda: deepest.substream(0, into=child), "stream must be an integer in [0, 2**60)")
+        assert child.stream == 9
+        assert np.array_equal(child.generator.random(4), matkit.Rng(3, 9).generator.random(4))
+
 
 class TestInputChecks:
     # the module's own input rules, each row with its exact message

@@ -1,5 +1,8 @@
 import concurrent.futures
+import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +175,60 @@ class TestSimulateSifting:
             got = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=10**6)
             assert sizes == want, cpus
             assert np.array_equal(got.alice, ref.alice) and np.array_equal(got.bob, ref.bob)
+
+
+# SHA-256 of ``alice.tobytes() + bob.tobytes()`` of multi-chunk runs on the
+# sifting stream of ``simulate``, ``Rng(seed).substream(0)``, recorded while
+# each chunk still got a new generator and a task of its own: the bench case
+# (39 chunks), a wide window (12 chunks) and a run of 2.5 chunks
+SIFT_DIGESTS = [
+    ((1.4163, 0.8286, 0.8286), 1.0346, 0.01, 10_000_000, 769748556,
+     "e488d0817bef43e4eb110329520616e02d175da201e2365b7f31cdbb1b9e27ec"),
+    ((1.5, 1.0, 1.0), 1.0, 0.2, 3_000_000, 5, "194d62878f3d74ef7ece39e0e5efe500b0d96118cb08d522c5f4b7bbdf33aea0"),
+    ((1.5, 1.0, 1.0), 1.0, 0.05, 5 << 17, 9, "7ed314da470455242dde752b3c2a19bae55dbfe9d10c4b582b0835581023562f"),
+]
+
+
+class TestSiftingWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("state, x0, window, n_pairs, seed, digest", SIFT_DIGESTS)
+    def test_multi_chunk_digests(self, state, x0, window, n_pairs, seed, digest, workers):
+        cfg = pr.ProtocolConfig(x0=x0, window=window, n_pairs=n_pairs, block_n=2, seed=seed)
+        bits = pr.simulate_sifting(SymmetricStateParams(*state), cfg, matkit.Rng(seed).substream(0), workers)
+        assert hashlib.sha256(bits.alice.tobytes() + bits.bob.tobytes()).hexdigest() == digest
+
+    def test_threads_claim_each_chunk_once(self, monkeypatch):
+        # 8 threads, more than most test machines have cores, switching every
+        # microsecond: a chunk claimed twice or never shows in the streams
+        # sifted and in the output
+        monkeypatch.setattr(pr.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(pr, "_SIFT_CHUNK", 1 << 12)
+        sifted, sift_chunk = [], pr._sift_chunk
+
+        def recorded(p, cfg, rng, count):
+            sifted.append((rng.stream, threading.get_ident()))
+            return sift_chunk(p, cfg, rng, count)
+
+        cfg = pr.ProtocolConfig(x0=1.0, window=0.2, n_pairs=10 * pr._SIFT_CHUNK - 100, block_n=2, seed=4)
+        ref = pr.simulate_sifting(P111, cfg, matkit.Rng(4))
+        monkeypatch.setattr(pr, "_sift_chunk", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                sifted.clear()
+                got = []
+                run = threading.Thread(
+                    target=lambda: got.append(pr.simulate_sifting(P111, cfg, matkit.Rng(4), workers=10**6)),
+                    daemon=True)
+                run.start()
+                run.join(timeout=60)
+                assert not run.is_alive()
+                assert sorted(stream for stream, _ in sifted) == list(range(1, 11))
+                assert len({thread for _, thread in sifted}) <= 8
+                assert np.array_equal(got[0].alice, ref.alice) and np.array_equal(got[0].bob, ref.bob)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSiftingSampler:

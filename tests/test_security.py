@@ -464,17 +464,17 @@ class TestAttackHierarchy:
                 assert sec.any_x0_secure(p, attack=sec.INDIVIDUAL)
 
     def test_general_versus_coherent_ad_recorded(self):
-        # the relative position of the one-way-rate frontier and the
-        # squared-overlap condition is an empirical observation on this grid;
-        # counterexamples are reported, not failed on
+        # an empirical relation between the one-way-rate frontier and the
+        # squared-overlap condition on these 40 states, 7 of them
+        # general-secure; a rate at or below _RATE_FLOOR is rounding noise
         rng = np.random.default_rng(23)
-        counterexamples = []
+        general = 0
         for _ in range(40):
             p = random_symmetric_params(rng, lam_range=(1.0, 2.5))
-            if sec.optimize_rate(p)[1] > 0 and not sec.any_x0_secure(p, attack=sec.COHERENT_AD):
-                counterexamples.append(p)
-        if counterexamples:
-            print(f"finding: one-way rate positive without coherent-AD condition at {counterexamples}")
+            if sec.optimize_rate(p)[1] > sec._RATE_FLOOR:
+                general += 1
+                assert sec.any_x0_secure(p, attack=sec.COHERENT_AD), p
+        assert general == 7
 
 
 class TestBuildReport:
