@@ -99,7 +99,9 @@ def _read_config(path, flags):
 def _require(args, names):
     for name in names:
         if getattr(args, name) is None:
-            raise _UsageError(f"missing required value --{name.replace('_', '-')}")
+            # the option string, not the dest: --lambda stores to lam
+            flag = next(o for o, a in _parser().commands[args.command].flags.items() if a.dest == name)
+            raise _UsageError(f"missing required value {flag}")
 
 
 def _params(args):

@@ -94,7 +94,9 @@ class Rng:
     CHILD_BITS = 20  # up to 2**20 children per node, three levels deep
 
     def __init__(self, seed, stream=0):
-        self.generator = np.random.Generator(np.random.Philox())
+        # a fixed placeholder seed: _rekey overwrites the whole state, so an
+        # OS-entropy SeedSequence would be drawn only to be thrown away
+        self.generator = np.random.Generator(np.random.Philox(0))
         self._rekey(_int(seed, "seed must be an integer in [0, 2**64)", 0, 2**64), stream)
 
     def _rekey(self, seed, stream):

@@ -135,19 +135,6 @@ class TestSimulateSifting:
         sigma = np.sqrt(expect / cfg.n_pairs)
         assert abs(bits.acceptance_rate - expect) < 4.0 * sigma + 1e-2 * expect
 
-    def test_deterministic(self):
-        cfg = pr.ProtocolConfig(x0=1.0, window=0.05, n_pairs=300_000, block_n=2, seed=9)
-        a = pr.simulate_sifting(P111, cfg, matkit.Rng(9))
-        b = pr.simulate_sifting(P111, cfg, matkit.Rng(9))
-        assert np.array_equal(a.alice, b.alice) and np.array_equal(a.bob, b.bob)
-        assert a.acceptance_rate == b.acceptance_rate
-
-    def test_worker_count_irrelevant(self):
-        cfg = pr.ProtocolConfig(x0=1.0, window=0.05, n_pairs=300_000, block_n=2, seed=9)
-        a = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=1)
-        b = pr.simulate_sifting(P111, cfg, matkit.Rng(9), workers=4)
-        assert np.array_equal(a.alice, b.alice) and np.array_equal(a.bob, b.bob)
-
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         # a fake pool records its size and runs the chunks serially, so no
         # thread is started whatever is asked for
