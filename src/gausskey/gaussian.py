@@ -313,8 +313,33 @@ class SymmetricStateParams:
 
 def npt_symmetric(p):
     """Closed-form entanglement (NPPT) test: lam^2 + cx*cp - 1 < lam*(cx + cp),
-    strictly; evaluated as (lam - cx)(lam - cp) < 1."""
+    strictly; evaluated as (lam - cx)(lam - cp) < 1.
+
+    It is also the individual attack's key condition ``r > q_same`` of
+    :func:`symmetric_exponents`.  With ``m = lam - cx`` and ``s = lam + cx``,
+    ``r = 4 cx/(m s)`` and ``q_same = 2(lam - cp) - 2/s``; since
+    ``4 cx + 2m = 2s``, ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``.
+    Every state the family admits has ``lam > cx``, the -1e-9 band included:
+    it passed ``(lam - cx)(lam + cp) >= 1 - 1e-9 > 0`` with ``lam + cp >= 0``
+    (see :class:`SymmetricStateParams`).  So the denominator is positive and
+    the sign of the margin is the verdict.
+    """
     return bool((p.lam - p.cx) * (p.lam - p.cp) < 1.0)
+
+
+def squared_overlap_symmetric(p):
+    """Closed-form squared-overlap key condition ``r > 2 q_same`` of
+    :func:`symmetric_exponents`, i.e. ``eps/(1-eps) < |<e_++|e_-->|^2`` at
+    every nonzero threshold; evaluated as ``lam > (lam - cp)(lam - cx)(lam + cx)``.
+
+    With ``m``, ``s`` as in :func:`npt_symmetric`, ``4 cx + 4m = 4 lam``, so
+    ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``,
+    whose denominator is positive because ``lam > cx``.  The margin's zero set
+    is the cubic ``(lam - cp)(lam^2 - cx^2) = lam``.  ``lam + cx`` may round to
+    ``inf`` for a huge state; the product is then ``inf`` and the verdict
+    ``False``, never NaN, as ``lam - cp >= lam - cx > 0``.
+    """
+    return bool(p.lam > (p.lam - p.cp) * ((p.lam - p.cx) * (p.lam + p.cx)))
 
 
 def symmetric_exponents(p):

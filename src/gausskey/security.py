@@ -15,8 +15,20 @@ Their pairwise overlaps drive every security statement here:
 On this family the error ratio and every overlap are Gaussian in the
 threshold, so the state's decay table in :mod:`gausskey.gaussian` gives all
 of the above in closed form, and the overlap conditions do not depend on the
-threshold.  That table's decay takes care of a threshold whose square
-overflows, so nothing here touches numpy's error state; and
+threshold: they are ``r > q_same`` and ``r > 2 q_same`` in the exponents of
+:func:`~gausskey.gaussian.symmetric_exponents`.  Both differences factor
+over a positive denominator, as every state the family admits has
+``lam > cx`` (the -1e-9 physicality band included):
+
+* ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``, so the individual
+  and finite-coherent attacks give key exactly on the NPPT states
+  (:func:`~gausskey.gaussian.npt_symmetric`);
+* ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``
+  (:func:`~gausskey.gaussian.squared_overlap_symmetric`).
+
+Each verdict is the sign of its polynomial margin, computed on every call.
+The decay table takes care of a threshold whose square overflows, so
+nothing here touches numpy's error state; and
 :func:`gausskey.gaussian._thresholds` is the one rule for what a threshold
 is, so nothing here checks one on its own.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
@@ -43,8 +55,8 @@ from .gaussian import (
     npt_symmetric,
     pure_overlap,
     purify,
+    squared_overlap_symmetric,
     symmetric_embed,
-    symmetric_exponents,
 )
 
 SIGN_ORDER = ("++", "--", "+-", "-+")
@@ -55,8 +67,13 @@ COHERENT_AD = "coherent-ad"
 GENERAL = "general"
 ATTACK_KINDS = (INDIVIDUAL, FINITE_COHERENT, COHERENT_AD, GENERAL)
 
-# power of |<e_++|e_-->| in each overlap-based key condition
-_OVERLAP_POWER = {INDIVIDUAL: 1, FINITE_COHERENT: 1, COHERENT_AD: 2}
+# each overlap-based key condition eps/(1-eps) < |<e_++|e_-->|**power: power 1
+# for the individual and finite-coherent attacks, 2 for coherent-ad (see _secure)
+_OVERLAP_VERDICT = {
+    INDIVIDUAL: npt_symmetric,
+    FINITE_COHERENT: npt_symmetric,
+    COHERENT_AD: squared_overlap_symmetric,
+}
 
 # the general attack's key condition is a one-way rate above this many bits
 # per accepted symbol at some threshold; rates within rounding noise
@@ -145,13 +162,18 @@ def _secure(p, attack):
     The general attack needs a one-way rate above :data:`_RATE_FLOOR` at some
     threshold.  The others need ``eps/(1-eps) < |<e_++|e_-->|**power``; both
     sides are ``exp(-k x0^2)``, so that is ``r > power * q_same`` at every
-    nonzero threshold."""
+    nonzero threshold.  Each difference is a polynomial margin over a positive
+    denominator (``lam > cx`` on every state the family admits), so its sign
+    is read from the margin, with no division:
+    ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)`` is
+    :func:`npt_symmetric` and
+    ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``
+    is :func:`squared_overlap_symmetric`."""
     if attack == GENERAL:
         return optimize_rate(p)[1] > _RATE_FLOOR
-    if attack not in _OVERLAP_POWER:
+    if attack not in _OVERLAP_VERDICT:
         raise InvalidInput(f"unknown attack kind {attack!r}")
-    r, q_same, _ = symmetric_exponents(p)
-    return bool(r > _OVERLAP_POWER[attack] * q_same)
+    return _OVERLAP_VERDICT[attack](p)
 
 
 def coherent_ad_secure(p, x0):
@@ -330,20 +352,24 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
 def build_report(p, x0_max=X0_MAX):
     """Full per-state analysis at the rate-optimal threshold.
 
-    NPPT comes from :func:`npt_symmetric` rather than the exponents, so the
-    report's ``nppt`` and ``individual_secure`` stay two routes to one fact.
+    The report's ``nppt`` and ``individual_secure`` are one predicate,
+    :func:`npt_symmetric`: ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``
+    and ``lam > cx`` on every state the family admits (see :func:`_secure`),
+    so the two cannot disagree, even within ulps of the NPPT rail.  The tests
+    hold the independent routes: the partial transpose of the embedded CM, and
+    the exponents of :func:`~gausskey.gaussian.symmetric_exponents`.
     The rate search and the report's ``eps_ab = g_r / (1 + g_r)`` and
     ``eve_overlap = g_same`` at its best threshold read the decay table that
     :func:`~gausskey.protocol.error_probability` and :func:`eve_overlap` read,
     so they match those bit for bit.
     """
-    individual, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
+    nppt, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
     rows = _decay_table(p, 1)
     best_x0, rate = _best_rate(rows, x0_max)
     g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
     return SecurityReport(
-        nppt=npt_symmetric(p),
-        individual_secure=individual,
+        nppt=nppt,
+        individual_secure=nppt,
         coherent_ad_secure=coherent_ad,
         best_x0=best_x0,
         rate_lb=rate,

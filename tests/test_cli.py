@@ -304,6 +304,20 @@ GOLDEN = [
     # arithmetic must not overflow on the way
     (("simulate", *_POINT, "--x0", "1e200", "--window", "1e199", "--pairs", "1000"), 3, "",
      "no pairs accepted; enlarge --pairs or --window\n"),
+    # a state within ulps of the NPPT rail, where comparing rounded exponents
+    # once printed "individual_secure": true beside "nppt": false; these bytes
+    # are the same under numpy's AVX-512, AVX2 and baseline loops
+    (
+        ("analyze", "--lambda", "1.5812821272936601", "--cx", "0.6660786459516252",
+         "--cp", "0.4886289409950008"),
+        0,
+        '{\n  "lambda": 1.58128212729,\n  "c_x": 0.666078645952,\n  "c_p": 0.488628940995,\n'
+        '  "physical": true,\n  "nppt": false,\n  "eps_ab_at_best_x0": 8.62348935724e-15,\n'
+        '  "eve_overlap": 8.62348935724e-15,\n  "individual_secure": false,\n'
+        '  "coherent_ad_secure": false,\n  "rate_lb": -8.30779889327e-13,\n'
+        '  "best_x0": 4.9999958738\n}\n',
+        "",
+    ),
 ]
 
 # usage errors worded by argparse, whose wording varies across Python versions:

@@ -70,6 +70,12 @@ class TestPhysicality:
     def test_rejects_odd_dimension(self):
         assert_rejects(lambda: g.is_physical(np.eye(3)), "cm must be square with even dimension")
 
+    @pytest.mark.parametrize("margin, physical", [(-0.9999e-9, True), (-1.0001e-9, False)])
+    def test_tolerance_edge(self, margin, physical):
+        # cm + iJ of (1 + margin) I has eigenvalues margin and 2 + margin; a
+        # relative 1e-4 either side of the 1e-9 band is far above their rounding
+        assert g.is_physical((1.0 + margin) * np.eye(2)) == physical
+
 
 class TestPartialTranspose:
     def test_involution(self):
@@ -212,6 +218,16 @@ class TestPurify:
     def test_rejects_unphysical(self):
         st = g.GaussianState(np.diag([0.5, 0.5]), np.zeros(2))
         assert_rejects(lambda: g.purify(st), "state is unphysical (symplectic eigenvalue below 1)")
+
+    @pytest.mark.parametrize("margin", [-0.9999e-9, -1.0001e-9, 0.9999e-9, 1.0001e-9])
+    def test_tolerance_edges(self, margin):
+        # (1 + margin) I has symplectic eigenvalue 1 + margin: refused below
+        # 1 - 1e-9, and coupled to its copy by exactly 0 up to 1 + 1e-9
+        st = g.GaussianState((1.0 + margin) * np.eye(2), np.zeros(2))
+        if margin < -1e-9:
+            assert_rejects(lambda: g.purify(st), "state is unphysical (symplectic eigenvalue below 1)")
+        else:
+            assert (g.purify(st).cm[:2, 2:] == 0.0).all() == (margin < 1e-9)
 
     def test_ill_conditioned_output_raises(self):
         # a valid state whose purification comes out with spectrum
@@ -392,6 +408,21 @@ class TestSymmetricFamily:
     def test_ordering_violations_rejected(self):
         for triple in ((1.5, 0.5, 1.0), (-1.0, 0.0, 0.0), (1.0, 1.0, -0.1)):
             assert_rejects(lambda: g.SymmetricStateParams(*triple), "need lam >= 0 and cx >= cp >= 0")
+
+    @pytest.mark.parametrize("cx, cp, coherent_ad", [(1.0, 1.0, True), (1.55, 0.2, False), (0.7, 0.35, True)])
+    @pytest.mark.parametrize("margin, accepted", [(-0.9999e-9, True), (-1.0001e-9, False)])
+    def test_physicality_band_edge(self, cx, cp, coherent_ad, margin, accepted):
+        # lam puts (lam - cx)(lam + cp) - 1 at margin, a relative 1e-4 inside or
+        # outside the -1e-9 band, far above the ~1e-15 rounding of the margin
+        lam = 0.5 * ((cx - cp) + np.sqrt((cx + cp) ** 2 + 4.0 * (1.0 + margin)))
+        assert abs((lam - cx) * (lam + cp) - 1.0 - margin) < 1e-14
+        assert builds(lam, cx, cp) == accepted
+        if accepted:
+            # both verdicts are defined at the edge, where lam > cx still holds
+            p = g.SymmetricStateParams(lam, cx, cp)
+            assert p.lam > p.cx
+            assert g.npt_symmetric(p) is True
+            assert g.squared_overlap_symmetric(p) is coherent_ad
 
     def test_finiteness_check_takes_numpy_scalars_and_ints(self):
         for triple in ((np.float64(1.5), np.float32(1.0), np.int64(1)), (2, 1, 0)):

@@ -31,6 +31,18 @@ def physical_params(draw):
     return SymmetricStateParams(lam, cx, cp)
 
 
+@st.composite
+def coherent_ad_rail_params(draw):
+    """A physical state within 1e-6 of the coherent-ad rail, the largest root
+    of ``(lam - cp)(lam^2 - cx^2) = lam``, where that root is physical."""
+    cx = draw(st.floats(0.05, 5.0))
+    cp = cx * draw(st.floats(0.0, 1.0))
+    roots = np.roots([1.0, -cp, -(cx * cx + 1.0), cx * cx * cp])
+    lam = roots[np.abs(roots.imag) < 1e-12].real.max() + draw(st.floats(-1e-6, 1e-6))
+    assume((lam - cx) * (lam + cp) >= 1.0)
+    return SymmetricStateParams(lam, cx, cp)
+
+
 # positive thresholds from far below the search range to where eps underflows
 thresholds = st.floats(1e-9, 40.0)
 
@@ -276,10 +288,53 @@ class TestAttackConditions:
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(physical_params())
-    def test_nppt_iff_individual(self, p):
-        # outside a rounding band around the NPPT boundary (lam - cx)(lam - cp) = 1
-        assume(abs((p.lam - p.cx) * (p.lam - p.cp) - 1.0) >= 1e-9)
-        assert sec.any_x0_secure(p, attack=sec.INDIVIDUAL) == npt_symmetric(p)
+    def test_individual_matches_partial_transpose(self, p):
+        # the matrix route to NPPT, outside a 1e-6 band around the boundary
+        # (lam - cx)(lam - cp) = 1, where its -1e-9 eigenvalue tolerance can
+        # read an entangled state as PPT
+        assume(abs((p.lam - p.cx) * (p.lam - p.cp) - 1.0) >= 1e-6)
+        nppt = gaussian.is_nppt(gaussian.symmetric_embed(p).cm, [0])
+        assert sec.any_x0_secure(p, attack=sec.INDIVIDUAL) == nppt
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params() | coherent_ad_rail_params())
+    def test_coherent_ad_matches_exponents(self, p):
+        # r > 2 q_same read from the exponents, outside a 1e-9 band around its rail
+        r, q_same, _ = symmetric_exponents(p)
+        assume(abs(r - 2.0 * q_same) >= 1e-9)
+        assert sec.any_x0_secure(p, attack=sec.COHERENT_AD) == (r > 2.0 * q_same)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(physical_params())
+    def test_margin_identities(self, p):
+        # r - q_same and r - 2 q_same against the margins the verdicts read, to
+        # 1e-14 of the terms subtracted (2e-14 for the doubled q_same); over
+        # 200,000 uniform draws from these ranges every gap was below 4e-16
+        # of them.  lam > cx on every state built, so no denominator is 0
+        r, q_same, _ = symmetric_exponents(p)
+        minus, plus, low = p.lam - p.cx, p.lam + p.cx, p.lam - p.cp
+        assert minus > 0.0
+        terms = r + 2.0 * low + 2.0 / plus
+        assert abs((r - q_same) - 2.0 * (1.0 - minus * low) / minus) <= 1e-14 * terms
+        assert abs((r - 2.0 * q_same) - 4.0 * (p.lam - low * (minus * plus)) / (minus * plus)) <= 2e-14 * terms
+
+    def test_one_verdict_at_the_nppt_rail(self):
+        # within 3 ulps either side of lam = ((cx + cp) + sqrt((cx - cp)^2 + 4))/2;
+        # comparing the rounded exponents r > q_same disagreed with NPPT on
+        # about 1% of these states
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            cx = rng.uniform(0.2, 3.0)
+            cp = cx * rng.uniform(0.1, 1.0)
+            lam = 0.5 * ((cx + cp) + math.sqrt((cx - cp) ** 2 + 4.0))
+            for _ in range(3):
+                lam = np.nextafter(lam, 0.0)
+            for _ in range(7):
+                p = SymmetricStateParams(float(lam), cx, cp)
+                rep = sec.build_report(p)
+                assert rep.nppt == rep.individual_secure == npt_symmetric(p), p
+                assert sec.any_x0_secure(p, attack=sec.FINITE_COHERENT) == rep.nppt, p
+                lam = np.nextafter(lam, np.inf)
 
 
 class TestAnyX0Secure:
@@ -537,13 +592,15 @@ class TestBuildReport:
 
 
 def test_overlap_attacks_never_build_a_decay_table(monkeypatch):
-    # their conditions compare the state's exponents, which hold at every
-    # threshold, so no exp(-k x0^2) is evaluated
+    # their conditions are signs of polynomial margins in (lam, cx, cp), which
+    # hold at every threshold, so no exponent and no exp(-k x0^2) is evaluated
     def forbidden(*args):
-        raise AssertionError("an overlap attack built a decay table")
+        raise AssertionError("an overlap attack read an exponent or built a decay table")
 
     monkeypatch.setattr(sec, "_decay_table", forbidden)
     monkeypatch.setattr(gaussian, "_decay_table", forbidden)
+    monkeypatch.setattr(gaussian, "symmetric_exponents", forbidden)
+    monkeypatch.setattr(sec, "symmetric_exponents", forbidden, raising=False)
     for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT, sec.COHERENT_AD):
         assert sec.any_x0_secure(P111, [0.5, 1.0], attack)
         assert not sec.any_x0_secure(SymmetricStateParams(2.0, 0.5, 0.0), attack=attack)
