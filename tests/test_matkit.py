@@ -80,10 +80,12 @@ class TestEigh:
                        "matrix is not Hermitian within tolerance")
 
     def test_symmetrizes_rounding_noise(self):
-        h = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
+        # an asymmetry of 0.9x the bound 1e-12 * (1 + max|h|) = 3e-12 is
+        # symmetrized away; 1.1x is a TestInputChecks row
+        h = np.array([[1.0, 0.5 + 2.7e-12], [0.5, 2.0]])
         w, _ = matkit.eigh(h)
-        ref, _ = matkit.eigh(np.array([[1.0, 0.5], [0.5, 2.0]]))
-        assert np.abs(w - ref).max() < 1e-12
+        ref, _ = matkit.eigh(np.array([[1.0, 0.5 + 1.35e-12], [0.5 + 1.35e-12, 2.0]]))
+        assert np.abs(w - ref).max() < 1e-13
 
 
 class TestPseudoInverse:
@@ -355,6 +357,9 @@ class TestInputChecks:
                      id="eigh-non-square"),
         pytest.param(lambda: matkit.eigh(np.eye(65)), "kernel supports dimension 64 at most",
                      id="eigh-dimension-65"),
+        # an asymmetry of 1.1x the bound 1e-12 * (1 + max|h|) = 3e-12
+        pytest.param(lambda: matkit.eigh(np.array([[1.0, 0.5 + 3.3e-12], [0.5, 2.0]])),
+                     "matrix is not Hermitian within tolerance", id="eigh-past-hermiticity-bound"),
         pytest.param(lambda: matkit.pseudo_inverse(np.ones(3)), "matrix must be two-dimensional",
                      id="pinv-1d"),
         pytest.param(lambda: matkit.sample_mvn(np.ones((2, 3)), 2, matkit.Rng(0)), "cov must be square",

@@ -305,16 +305,6 @@ class TestAdvantageDistillation:
         assert len(out.kept_bits_alice) == 5000
         assert out.empirical_error == np.mean(flips)
 
-    def test_full_pipeline_reproduces_composition(self):
-        cfg = pr.ProtocolConfig(x0=1.0, window=0.02, n_pairs=30_000_000, block_n=2, seed=5)
-        bits = pr.simulate_sifting(P111, cfg, matkit.Rng(5))
-        out = pr.simulate_advantage_distillation(bits, 2, matkit.Rng(6))
-        eps2 = pr.ad_error(pr.error_probability(P111, cfg.x0), 2)
-        kept = len(out.kept_bits_alice)
-        # finite window widens eps slightly; allow 3 sigma plus a small bias term
-        tol = 3 * np.sqrt(eps2 * (1 - eps2) / kept) + 0.2 * eps2
-        assert abs(out.empirical_error - eps2) < tol
-
     def test_rejects_oversized_block(self):
         bits = pr.SiftedBits(np.zeros(3, np.uint8), np.zeros(3, np.uint8), 1.0)
         assert_rejects(lambda: pr.simulate_advantage_distillation(bits, 4, matkit.Rng(0)),
