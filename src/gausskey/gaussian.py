@@ -311,35 +311,50 @@ class SymmetricStateParams:
             raise InvalidInput(f"unphysical parameters {self}")
 
 
-def npt_symmetric(p):
-    """Closed-form entanglement (NPPT) test: lam^2 + cx*cp - 1 < lam*(cx + cp),
-    strictly; evaluated as (lam - cx)(lam - cp) < 1.
+def npt_margin(lam, cx, cp):
+    """Closed-form entanglement (NPPT) margin ``1 - (lam - cx)(lam - cp)``,
+    positive exactly on the NPPT states: ``lam^2 + cx*cp - 1 < lam*(cx + cp)``
+    factored, elementwise over floats or arrays.
 
-    It is also the individual attack's key condition ``r > q_same`` of
+    It is also the individual attack's key margin ``r > q_same`` of
     :func:`symmetric_exponents`.  With ``m = lam - cx`` and ``s = lam + cx``,
     ``r = 4 cx/(m s)`` and ``q_same = 2(lam - cp) - 2/s``; since
     ``4 cx + 2m = 2s``, ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``.
     Every state the family admits has ``lam > cx``, the -1e-9 band included:
     it passed ``(lam - cx)(lam + cp) >= 1 - 1e-9 > 0`` with ``lam + cp >= 0``
     (see :class:`SymmetricStateParams`).  So the denominator is positive and
-    the sign of the margin is the verdict.
+    the sign of the margin is the verdict.  Float subtraction is exact in
+    sign, so ``margin > 0`` is ``(lam - cx)(lam - cp) < 1`` bit for bit.
     """
-    return bool((p.lam - p.cx) * (p.lam - p.cp) < 1.0)
+    return 1.0 - (lam - cx) * (lam - cp)
 
 
-def squared_overlap_symmetric(p):
-    """Closed-form squared-overlap key condition ``r > 2 q_same`` of
-    :func:`symmetric_exponents`, i.e. ``eps/(1-eps) < |<e_++|e_-->|^2`` at
-    every nonzero threshold; evaluated as ``lam > (lam - cp)(lam - cx)(lam + cx)``.
+def npt_symmetric(p):
+    """Closed-form NPPT test of the state: :func:`npt_margin` is positive."""
+    return bool(npt_margin(p.lam, p.cx, p.cp) > 0.0)
 
-    With ``m``, ``s`` as in :func:`npt_symmetric`, ``4 cx + 4m = 4 lam``, so
+
+def squared_overlap_margin(lam, cx, cp):
+    """Closed-form squared-overlap key margin
+    ``lam - (lam - cp)(lam - cx)(lam + cx)``, positive exactly where
+    ``r > 2 q_same`` of :func:`symmetric_exponents`, i.e.
+    ``eps/(1-eps) < |<e_++|e_-->|^2`` at every nonzero threshold;
+    elementwise over floats or arrays.
+
+    With ``m``, ``s`` as in :func:`npt_margin`, ``4 cx + 4m = 4 lam``, so
     ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``,
     whose denominator is positive because ``lam > cx``.  The margin's zero set
     is the cubic ``(lam - cp)(lam^2 - cx^2) = lam``.  ``lam + cx`` may round to
-    ``inf`` for a huge state; the product is then ``inf`` and the verdict
-    ``False``, never NaN, as ``lam - cp >= lam - cx > 0``.
+    ``inf`` for a huge state; the product is then ``inf`` and the margin
+    ``-inf``, never NaN, as ``lam - cp >= lam - cx > 0``.
     """
-    return bool(p.lam > (p.lam - p.cp) * ((p.lam - p.cx) * (p.lam + p.cx)))
+    return lam - (lam - cp) * ((lam - cx) * (lam + cx))
+
+
+def squared_overlap_symmetric(p):
+    """Closed-form squared-overlap key condition of the state:
+    :func:`squared_overlap_margin` is positive."""
+    return bool(squared_overlap_margin(p.lam, p.cx, p.cp) > 0.0)
 
 
 def symmetric_exponents(p):

@@ -18,15 +18,18 @@ of the above in closed form, and the overlap conditions do not depend on the
 threshold: they are ``r > q_same`` and ``r > 2 q_same`` in the exponents of
 :func:`~gausskey.gaussian.symmetric_exponents`.  Both differences factor
 over a positive denominator, as every state the family admits has
-``lam > cx`` (the -1e-9 physicality band included):
+``lam > cx`` (the -1e-9 physicality band included), so each condition is
+the sign of a polynomial margin in ``(lam, cx, cp)``:
 
 * ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``, so the individual
   and finite-coherent attacks give key exactly on the NPPT states
-  (:func:`~gausskey.gaussian.npt_symmetric`);
+  (:func:`~gausskey.gaussian.npt_margin`);
 * ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``
-  (:func:`~gausskey.gaussian.squared_overlap_symmetric`).
+  (:func:`~gausskey.gaussian.squared_overlap_margin`).
 
-Each verdict is the sign of its polynomial margin, computed on every call.
+:data:`_OVERLAP_VERDICT` maps each overlap attack to its margin, and every
+overlap verdict here is one lookup and one margin call, positive meaning
+key; the margins are elementwise, so a frontier reads them over arrays.
 The decay table takes care of a threshold whose square overflows, so
 nothing here touches numpy's error state; and
 :func:`gausskey.gaussian._thresholds` is the one rule for what a threshold
@@ -34,7 +37,8 @@ is, so nothing here checks one on its own.
 :func:`eve_ensemble` keeps the generic route as the tests' reference.
 
 Frontier scans locate, per correlation strength, the largest local variance
-that still admits a secure threshold choice.
+that still admits a secure threshold choice; :func:`security_frontier`
+bisects every correlation of its grid in lockstep.
 """
 
 import math
@@ -52,10 +56,10 @@ from .gaussian import (
     _log_decay,
     _thresholds,
     condition_on_x,
-    npt_symmetric,
+    npt_margin,
     pure_overlap,
     purify,
-    squared_overlap_symmetric,
+    squared_overlap_margin,
     symmetric_embed,
 )
 
@@ -67,12 +71,13 @@ COHERENT_AD = "coherent-ad"
 GENERAL = "general"
 ATTACK_KINDS = (INDIVIDUAL, FINITE_COHERENT, COHERENT_AD, GENERAL)
 
-# each overlap-based key condition eps/(1-eps) < |<e_++|e_-->|**power: power 1
-# for the individual and finite-coherent attacks, 2 for coherent-ad (see _secure)
+# each overlap-based key condition eps/(1-eps) < |<e_++|e_-->|**power, as the
+# margin in (lam, cx, cp) that is positive exactly where it holds: power 1 for
+# the individual and finite-coherent attacks, 2 for coherent-ad
 _OVERLAP_VERDICT = {
-    INDIVIDUAL: npt_symmetric,
-    FINITE_COHERENT: npt_symmetric,
-    COHERENT_AD: squared_overlap_symmetric,
+    INDIVIDUAL: npt_margin,
+    FINITE_COHERENT: npt_margin,
+    COHERENT_AD: squared_overlap_margin,
 }
 
 # the general attack's key condition is a one-way rate above this many bits
@@ -156,32 +161,12 @@ def eve_overlap(p, x0):
     return _decays_at(p, x0)[1]
 
 
-def _secure(p, attack):
-    """Whether the state admits key against the attack kind.
-
-    The general attack needs a one-way rate above :data:`_RATE_FLOOR` at some
-    threshold.  The others need ``eps/(1-eps) < |<e_++|e_-->|**power``; both
-    sides are ``exp(-k x0^2)``, so that is ``r > power * q_same`` at every
-    nonzero threshold.  Each difference is a polynomial margin over a positive
-    denominator (``lam > cx`` on every state the family admits), so its sign
-    is read from the margin, with no division:
-    ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)`` is
-    :func:`npt_symmetric` and
-    ``r - 2 q_same = 4(lam - (lam - cp)(lam - cx)(lam + cx))/((lam - cx)(lam + cx))``
-    is :func:`squared_overlap_symmetric`."""
-    if attack == GENERAL:
-        return optimize_rate(p)[1] > _RATE_FLOOR
-    if attack not in _OVERLAP_VERDICT:
-        raise InvalidInput(f"unknown attack kind {attack!r}")
-    return _OVERLAP_VERDICT[attack](p)
-
-
 def coherent_ad_secure(p, x0):
     """Key condition when the adversary measures a whole distillation block
     coherently: ``eps/(1-eps) < |<e_++|e_-->|^2``; the same at every nonzero
-    ``x0``."""
+    ``x0``: :func:`~gausskey.gaussian.squared_overlap_margin` is positive."""
     _check_x0(x0)
-    return _secure(p, COHERENT_AD)
+    return bool(squared_overlap_margin(p.lam, p.cx, p.cp) > 0.0)
 
 
 def effective_state(p, x0):
@@ -292,9 +277,12 @@ def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
     :func:`~gausskey.gaussian._thresholds` reads it whole."""
     if x0_grid is not None and _thresholds(x0_grid).size == 0:
         raise InvalidInput("x0_grid must not be empty")
-    if attack == GENERAL:
-        raise InvalidInput("use optimize_rate for the general one-way bound")
-    return _secure(p, attack)
+    margin = _OVERLAP_VERDICT.get(attack)
+    if margin is None:
+        if attack == GENERAL:
+            raise InvalidInput("use optimize_rate for the general one-way bound")
+        raise InvalidInput(f"unknown attack kind {attack!r}")
+    return bool(margin(p.lam, p.cx, p.cp) > 0.0)
 
 
 def frontier_rails(c):
@@ -314,47 +302,72 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
 
     Bisection between the rails of :func:`frontier_rails`, the lower one
     lifted by a relative 1e-12 margin, finds where the attack's key
-    condition (:func:`_secure`) flips, to a width of 1e-6.  For ``general``
-    this is a rate-threshold frontier: ``lam_star`` is where the best one-way
-    rate over thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted
-    symbol.  ``c_grid``, read by :func:`~gausskey.matkit._reals`, is a
-    non-empty 1-D array of finite, positive, strictly ascending values, each
-    between about 2e-12 and 1e12, where the lifted lower rail stays below the
-    upper one; anything else, numeric strings included, raises
-    :class:`InvalidInput`.  Returns ``(c, lam_star)`` pairs in grid order.
+    condition flips, to a width of 1e-6.  Every ``c`` of the grid is bisected
+    in lockstep: each step decides all open brackets at once, each with its
+    own stop rule, and evaluates exactly the points a bisection of that ``c``
+    alone would (the upper rail only where the lower one is secure), so each
+    ``lam_star`` has that bisection's bits.  The overlap attacks read their margin of
+    :data:`_OVERLAP_VERDICT` over the arrays of open points.  For ``general``
+    each open point gets its own :func:`optimize_rate`, and the frontier is a
+    rate-threshold frontier: ``lam_star`` is where the best one-way rate over
+    thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted symbol.
+    ``c_grid``, read by :func:`~gausskey.matkit._reals`, is a non-empty 1-D
+    array of finite, positive, strictly ascending values, each between about
+    2e-12 and 1e12, where the lifted lower rail stays below the upper one;
+    anything else, numeric strings included, raises :class:`InvalidInput`, as
+    does an unknown attack kind once the grid has passed.  Returns
+    ``(c, lam_star)`` pairs in grid order.
     """
     c_grid = matkit._reals(c_grid, "c grid must be 1-D, non-empty, finite, positive and strictly ascending")
     if c_grid.ndim != 1 or c_grid.size == 0 or c_grid[0] <= 0 or np.any(np.diff(c_grid) <= 0):
         raise InvalidInput("c grid must be 1-D, non-empty, finite, positive and strictly ascending")
-    brackets = []
+    los, his = [], []
     for c in c_grid.tolist():
         solid, hi = frontier_rails(c)
         lo = solid * (1.0 + 1e-12) + 1e-12
         if not lo < hi:
             raise InvalidInput(f"c = {c:g}: the rails sqrt(1 + c^2) and c + 1 cannot be separated")
-        brackets.append((c, lo, hi))
-    out = []
-    for c, lo, hi in brackets:
-        # with no flip between the rails the bracket closes on one: mid = 0.5 * (x + x) = x
-        if not _secure(SymmetricStateParams(lo, c, c), attack):
-            hi = lo
-        elif _secure(SymmetricStateParams(hi, c, c), attack):
-            lo = hi
-        # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
+        los.append(lo)
+        his.append(hi)
+    margin = _OVERLAP_VERDICT.get(attack)
+    if margin is not None:
+        def secure(lam, c):
+            return margin(lam, c, c) > 0.0
+    elif attack == GENERAL:
+        # one rate search per open point: the place for a scan batched over states
+        def secure(lam, c):
+            return np.array([optimize_rate(SymmetricStateParams(v, k, k))[1] > _RATE_FLOOR
+                             for v, k in zip(lam.tolist(), c.tolist())], dtype=bool)
+    else:
+        raise InvalidInput(f"unknown attack kind {attack!r}")
+    c, lo, hi = c_grid, np.array(los), np.array(his)
+    # with no flip between the rails the bracket closes on one: mid = 0.5 * (x + x) = x
+    flat = ~secure(lo, c)
+    hi[flat] = lo[flat]
+    up = np.flatnonzero(~flat)
+    up = up[secure(hi[up], c[up])]
+    lo[up] = hi[up]
+    out = 0.5 * (lo + hi)
+    # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
+    keep = (hi - lo > 1e-6) & (lo < out) & (out < hi)
+    idx, c, lo, hi, mid = np.flatnonzero(keep), c[keep], lo[keep], hi[keep], out[keep]
+    while idx.size:
+        key = secure(mid, c)
+        lo, hi = np.where(key, mid, lo), np.where(key, hi, mid)
         mid = 0.5 * (lo + hi)
-        while hi - lo > 1e-6 and lo < mid < hi:
-            lo, hi = (mid, hi) if _secure(SymmetricStateParams(mid, c, c), attack) else (lo, mid)
-            mid = 0.5 * (lo + hi)
-        out.append((c, mid))
-    return out
+        out[idx] = mid
+        keep = (hi - lo > 1e-6) & (lo < mid) & (mid < hi)
+        idx, c, lo, hi, mid = idx[keep], c[keep], lo[keep], hi[keep], mid[keep]
+    return list(zip(c_grid.tolist(), out.tolist()))
 
 
 def build_report(p, x0_max=X0_MAX):
     """Full per-state analysis at the rate-optimal threshold.
 
-    The report's ``nppt`` and ``individual_secure`` are one predicate,
-    :func:`npt_symmetric`: ``r - q_same = 2(1 - (lam - cx)(lam - cp))/(lam - cx)``
-    and ``lam > cx`` on every state the family admits (see :func:`_secure`),
+    The report's ``nppt`` and ``individual_secure`` are one verdict, the sign
+    of :func:`~gausskey.gaussian.npt_margin`, read from
+    :data:`_OVERLAP_VERDICT` like ``coherent_ad_secure``: the margin is
+    ``r - q_same`` times ``(lam - cx)/2 > 0`` on every state the family admits,
     so the two cannot disagree, even within ulps of the NPPT rail.  The tests
     hold the independent routes: the partial transpose of the embedded CM, and
     the exponents of :func:`~gausskey.gaussian.symmetric_exponents`.
@@ -363,7 +376,8 @@ def build_report(p, x0_max=X0_MAX):
     :func:`~gausskey.protocol.error_probability` and :func:`eve_overlap` read,
     so they match those bit for bit.
     """
-    nppt, coherent_ad = _secure(p, INDIVIDUAL), _secure(p, COHERENT_AD)
+    nppt = bool(_OVERLAP_VERDICT[INDIVIDUAL](p.lam, p.cx, p.cp) > 0.0)
+    coherent_ad = bool(_OVERLAP_VERDICT[COHERENT_AD](p.lam, p.cx, p.cp) > 0.0)
     rows = _decay_table(p, 1)
     best_x0, rate = _best_rate(rows, x0_max)
     g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])

@@ -1,10 +1,38 @@
 import ast
+import faulthandler
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from gausskey import gaussian
 from gausskey.errors import InvalidInput
+
+
+# seconds one test may run before pytest dumps every thread's traceback and
+# exits with status 1: a loop that never ends fails the suite rather than
+# hanging it; the slowest test takes about 1 s on 2 cores
+TEST_TIME_BOUND_S = 60
+
+# a copy of the terminal's stderr, taken while pytest's capture is off: a
+# test's captured stderr would be lost with the process
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def time_bound(pytestconfig):
+    faulthandler.dump_traceback_later(TEST_TIME_BOUND_S, exit=True, file=pytestconfig.stash[_STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def random_physical_cm(rng, n, margin=None):

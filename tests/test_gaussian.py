@@ -437,6 +437,12 @@ class TestGaussianState:
         cm[0, 1] = 1e-6
         assert_rejects(lambda: g.GaussianState(cm, np.zeros(2)), "cm must be symmetric")
 
+    def test_symmetrizes_asymmetry_below_the_bound(self):
+        # an asymmetry of 0.9x the bound 1e-12 * (1 + max|cm|) = 3e-12 is
+        # accepted and averaged away; 1.1x is a TestInputChecks row
+        cm = np.array([[1.0, 0.5 + 2.7e-12], [0.5, 2.0]])
+        assert np.array_equal(g.GaussianState(cm, np.zeros(2)).cm, 0.5 * (cm + cm.T))
+
     def test_rejects_mismatched_dv(self):
         assert_rejects(lambda: g.GaussianState(np.eye(2), np.zeros(3)), "dv length must match the CM dimension")
 
@@ -461,6 +467,9 @@ class TestInputChecks:
                      "conditioned displacement exceeds the float range", id="condition-dv-overflow"),
         pytest.param(lambda: g.pure_overlap(np.eye(2), np.zeros(3), np.zeros(2)),
                      "displacement length must match the CM dimension", id="overlap-dv-length"),
+        # an asymmetry of 1.1x the bound 1e-12 * (1 + max|cm|) = 3e-12
+        pytest.param(lambda: g.GaussianState(np.array([[1.0, 0.5 + 3.3e-12], [0.5, 2.0]]), np.zeros(2)),
+                     "cm must be symmetric", id="cm-past-symmetry-bound"),
         # math.isfinite would raise a bare TypeError
         pytest.param(lambda: g.SymmetricStateParams("a", 1.0, 1.0), "parameters must be finite",
                      id="params-string"),

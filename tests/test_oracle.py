@@ -283,6 +283,21 @@ class TestGridConditionOnX:
         with pytest.raises(OutcomeUnlikely):
             o.grid_condition_on_x(w2, [0], [8.0])
 
+    def test_norm_floor(self):
+        # the floor is 1e-12: on a unit-spacing grid whose node-0 slice holds
+        # one amplitude a, that slice's norm is sqrt(fl(a^2)) = a exactly, so
+        # 1.1x the floor is accepted and 0.9x rejected with the exact message
+        def one_amplitude_slice(a):
+            amp = np.zeros((3, 3))
+            amp[0, 0], amp[1, 1] = 1.0, a
+            return o.GridWavefunction(o.GridAxis(-1.0, 1.0, 3), amp)
+
+        cond = o.grid_condition_on_x(one_amplitude_slice(1.1e-12), [0], [0.0])
+        assert np.array_equal(cond.amplitudes, [0.0, 1.0, 0.0])
+        with pytest.raises(OutcomeUnlikely) as info:
+            o.grid_condition_on_x(one_amplitude_slice(0.9e-12), [0], [0.0])
+        assert info.type is OutcomeUnlikely and str(info.value) == "slice at [0.] has norm 9e-13"
+
     def test_rejects_non_finite_outcome(self):
         w2 = o.wavefunction_from_pure(np.eye(4), np.zeros(4), AX)
         for x in (np.inf, np.nan):

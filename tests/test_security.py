@@ -279,11 +279,13 @@ class TestAttackConditions:
         # 200,000 uniform draws from these ranges every gap was below 4e-16
         # of them.  lam > cx on every state built, so no denominator is 0
         r, q_same, _ = symmetric_exponents(p)
-        minus, plus, low = p.lam - p.cx, p.lam + p.cx, p.lam - p.cp
+        minus, plus = p.lam - p.cx, p.lam + p.cx
         assert minus > 0.0
-        terms = r + 2.0 * low + 2.0 / plus
-        assert abs((r - q_same) - 2.0 * (1.0 - minus * low) / minus) <= 1e-14 * terms
-        assert abs((r - 2.0 * q_same) - 4.0 * (p.lam - low * (minus * plus)) / (minus * plus)) <= 2e-14 * terms
+        terms = r + 2.0 * (p.lam - p.cp) + 2.0 / plus
+        npt = gaussian.npt_margin(p.lam, p.cx, p.cp)
+        squared = gaussian.squared_overlap_margin(p.lam, p.cx, p.cp)
+        assert abs((r - q_same) - 2.0 * npt / minus) <= 1e-14 * terms
+        assert abs((r - 2.0 * q_same) - 4.0 * squared / (minus * plus)) <= 2e-14 * terms
 
     def test_one_verdict_at_the_nppt_rail(self):
         # within 3 ulps either side of lam = ((cx + cp) + sqrt((cx - cp)^2 + 4))/2;
@@ -415,6 +417,38 @@ class TestOptimizeRate:
             assert best >= sec.rate_lower_bound(p, grid).max() - 1e-12, p
 
 
+_PREDICATES = {
+    sec.INDIVIDUAL: npt_symmetric,
+    sec.FINITE_COHERENT: npt_symmetric,
+    sec.COHERENT_AD: gaussian.squared_overlap_symmetric,
+    sec.GENERAL: lambda p: sec.optimize_rate(p)[1] > sec._RATE_FLOOR,
+}
+
+
+def reference_frontier(c_grid, attack):
+    """The frontier as a plain scalar bisection of each ``c`` on its own,
+    over the public predicates and ``optimize_rate``: the rails, the bracket
+    closed on a rail without a flip, and the stop rule of
+    ``security_frontier``."""
+    out = []
+    for c in np.asarray(c_grid, dtype=float).tolist():
+        def secure(lam):
+            return _PREDICATES[attack](SymmetricStateParams(lam, c, c))
+
+        solid, hi = sec.frontier_rails(c)
+        lo = solid * (1.0 + 1e-12) + 1e-12
+        if not secure(lo):
+            hi = lo
+        elif secure(hi):
+            lo = hi
+        mid = 0.5 * (lo + hi)
+        while hi - lo > 1e-6 and lo < mid < hi:
+            lo, hi = (mid, hi) if secure(mid) else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        out.append((c, mid))
+    return out
+
+
 class TestFrontier:
     def test_overlap_frontiers_match_closed_forms(self):
         # individual and finite-coherent: r > q_same flips at lam = c + 1;
@@ -460,6 +494,38 @@ class TestFrontier:
         for c in (1e-12, 5e12, 1e200):
             assert_rejects(lambda: sec.security_frontier([c], sec.INDIVIDUAL),
                            f"c = {c:g}: the rails sqrt(1 + c^2) and c + 1 cannot be separated")
+
+    @pytest.mark.parametrize("grid", [
+        pytest.param(np.linspace(0.1, 3.0, 30), id="cli-default"),
+        # three ranges of perfbench/refs/frontier_scan.json at the benchmark's 30 steps
+        pytest.param(np.linspace(0.152, 2.6453, 30), id="scan-0.152"),
+        pytest.param(np.linspace(0.3824, 2.941, 30), id="scan-0.3824"),
+        pytest.param(np.linspace(0.1002, 2.8202, 30), id="scan-0.1002"),
+        pytest.param([1e9, 1e11], id="mid-stops-moving"),
+        pytest.param([3e-12], id="rails-within-width"),
+        pytest.param([1e-9], id="lower-rail-without-key"),
+    ])
+    @pytest.mark.parametrize("attack", sec.ATTACK_KINDS)
+    def test_lockstep_matches_bisection_per_c(self, grid, attack):
+        assert sec.security_frontier(grid, attack) == reference_frontier(grid, attack)
+
+    def test_general_rate_searches(self, monkeypatch):
+        # the lockstep runs optimize_rate at exactly the points of the per-c
+        # loop, 648 on the CLI default grid
+        calls = []
+        search = sec.optimize_rate
+
+        def counted(p, x0_max=sec.X0_MAX):
+            calls.append((p.lam, p.cx))
+            return search(p, x0_max)
+
+        monkeypatch.setattr(sec, "optimize_rate", counted)
+        points = []
+        for frontier in (sec.security_frontier, reference_frontier):
+            calls.clear()
+            frontier(np.linspace(0.1, 3.0, 30), sec.GENERAL)
+            points.append(sorted(calls))
+        assert points[0] == points[1] and len(points[0]) == 648
 
     def test_low_end_of_separable_range_bisects(self):
         # the rails are 1e-12 apart, within the bisection width: the frontier
