@@ -65,8 +65,27 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _json_text(obj, pad="\n"):
+    """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists and scalars.
+    json writes ``indent=2`` token by token in Python; here its C encoder
+    writes each non-empty container of scalars in one call, with the newline
+    and indent of its items in the item separator."""
+    if not (isinstance(obj, (dict, list)) and obj):
+        return json.dumps(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, (dict, list)) for v in values):
+        text = json.dumps(obj, separators=(sep, ": "))
+    elif isinstance(obj, dict):
+        text = "{%s}" % sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
+    else:
+        text = "[%s]" % sep.join(_json_text(v, inner) for v in obj)
+    return text[0] + inner + text[1:-1] + pad + text[-1]
+
+
 def _dump_json(obj, out_path):
-    _emit(json.dumps(obj, indent=2) + "\n", out_path)
+    _emit(_json_text(obj) + "\n", out_path)
 
 
 def _read_config(path, flags):

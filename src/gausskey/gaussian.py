@@ -11,9 +11,10 @@ Conventions used throughout the package:
 
 States are value objects: a CM, a displacement vector (DV), and nothing else.
 All operations are pure functions.  In the symmetric two-mode family every
-threshold decay ``exp(-k x0^2)`` is a row of the per-state :func:`_decay_table`
-and is applied by :func:`_log_decay` alone, which also owns the overflow of
-``x0^2`` to ``inf``: no other module sets numpy's error state.
+threshold decay ``exp(-k x0^2)`` is a row ``-k`` of the per-state
+:func:`_decay_table`, 0 where ``k <= 0``, and is applied by :func:`_log_decay`
+alone, which also owns the overflow of ``x0^2`` to ``inf`` and the NaN of
+``0 * inf``: no other module sets numpy's error state.
 """
 
 import cmath
@@ -389,22 +390,22 @@ def symmetric_exponents(p):
     return r, 2.0 * (p.lam - p.cp) - 2.0 / plus, 2.0 * (p.lam + p.cp) - 2.0 / minus
 
 
-def _decay_rows(k):
-    """The per-state half of the decay ``exp(-k x0^2)``: the rows ``-k`` and
-    the mask ``k > 0``.  Overlaps never exceed 1, so a negative ``k`` is
-    rounding at the pure boundary or the -1e-9 physicality band; taken as is
-    it would blow up at huge thresholds, so the mask drops it."""
-    return -k, k > 0
+def _decay_rows(k, ndim=0):
+    """The per-state half of the decays ``exp(-k x0^2)``: the rows ``-k`` of
+    the floats ``k``, shaped ``(len(k), 1, ...)`` to broadcast against
+    ``ndim``-dimensional thresholds, with each ``k <= 0`` as 0.  Overlaps never
+    exceed 1, so a negative ``k`` is rounding at the pure boundary or the
+    -1e-9 physicality band; taken as is it would blow up at huge thresholds."""
+    return np.array([-v if v > 0.0 else 0.0 for v in k]).reshape((len(k),) + (1,) * ndim)
 
 
 def _decay_table(p, ndim=0):
     """The :func:`_decay_rows` of every decay the family's closed forms read,
-    ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2, q_mix``, shaped
-    ``(7, 1, ...)`` to broadcast against ``ndim``-dimensional thresholds."""
+    ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2, q_mix``, built from
+    the Python floats of :func:`symmetric_exponents`."""
     r, q_same, q_diff = symmetric_exponents(p)
     q_mix = 0.25 * (q_same + q_diff)
-    k = np.array([r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff, q_mix])
-    return _decay_rows(k.reshape((7,) + (1,) * ndim))
+    return _decay_rows((r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff, q_mix), ndim)
 
 
 def _thresholds(x0):
@@ -432,15 +433,15 @@ def _decays_at(p, x0):
 
 def _log_decay(rows, x0):
     """The per-threshold half: ``-k x0^2`` from :func:`_decay_rows`, broadcast
-    against ``x0``; 0 where ``k <= 0`` or ``x0^2`` underflows, ``k = inf``
-    included, where the plain product would be NaN.  ``x0^2`` and the product
-    may overflow to ``inf``, as meant, so this is the one place that silences
-    numpy's overflow warning; callers need no ``np.errstate``."""
-    neg_k, positive = rows
-    with np.errstate(over="ignore"):
-        x2 = np.square(x0, dtype=float)
-        mask = positive & (x2 > 0)
-        return np.multiply(neg_k, x2, out=np.zeros(mask.shape), where=mask)
+    against the float thresholds ``x0``, as products and one ``fmin`` against
+    0.  A zero row gives 0, and so does an ``x0^2`` that underflows, ``k = inf``
+    included: ``fmin`` folds the NaN of ``0 * inf`` or ``-inf * 0`` to 0, and
+    the added ``0.0`` makes every zero ``+0.0``, whichever zero ``fmin``
+    returned.  ``x0^2`` and the product may overflow to ``inf``, as meant, so
+    this is the one place that silences numpy's overflow and invalid warnings;
+    callers need no ``np.errstate``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.fmin(rows * (x0 * x0), 0.0) + 0.0
 
 
 def symmetric_embed(p):

@@ -217,7 +217,9 @@ def sample_mvn(cov, n, rng):
 
 
 def _xlog2x(w):
-    return w * np.log2(np.where(w > 0.0, w, 1.0))
+    # 5e-324 is the least positive float, so fmax moves only the zeros; their
+    # log2 is -1074, which signs a zero term -0.0 until 0.0 is added
+    return w * np.log2(np.fmax(w, 5e-324)) + 0.0
 
 
 def binary_entropy(p):

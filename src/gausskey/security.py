@@ -198,15 +198,18 @@ def _rate_kernel(rows, x0):
     each log-decay in ``[-inf, 0]``, so each ``g`` and ``1 - g`` (``expm1``)
     is in ``[0, 1]``, ``eps`` in ``[0, 1/2]``, ``a^2`` in ``[1/4, 1/2]``,
     ``b^2`` in ``[0, 1/4]``, ``lambda_+ >= a^2 (1 + g_same) >= 1/4`` and the
-    determinant is ``a^2 b^2`` times a sum of squares."""
+    determinant is ``a^2 b^2`` times a sum of squares.  Squares are
+    products: numpy's ``** 2`` runs its ``square`` loop, one more for a cold
+    call to load."""
     neg = _log_decay(rows, x0)
     g, one_minus_g = np.exp(neg), -np.expm1(neg[1:4])
     eps = g[0] / (1.0 + g[0])
     one_minus_eps = 1.0 - eps
     a2, b2 = 0.5 * one_minus_eps, 0.5 * eps
     big, small = a2 * (1.0 + g[1]), b2 * (1.0 + g[2])
-    top = 0.5 * (big + small) + np.sqrt(0.25 * (big - small) ** 2 + 4.0 * a2 * b2 * g[3])
-    det = a2 * b2 * (one_minus_g[2] ** 2 + (g[4] - g[5]) ** 2)
+    gap, skew = big - small, g[4] - g[5]
+    top = 0.5 * (big + small) + np.sqrt(0.25 * (gap * gap) + 4.0 * a2 * b2 * g[3])
+    det = a2 * b2 * (one_minus_g[2] * one_minus_g[2] + skew * skew)
     # the spectrum and (eps, 1 - eps), summed in entropy_bits' and binary_entropy's order
     w = np.array([a2 * one_minus_g[0], b2 * one_minus_g[1], top, det / top, eps, one_minus_eps])
     s0, s1, s2, s3, e0, e1 = matkit._xlog2x(w)
@@ -241,7 +244,7 @@ def _best_rate(rows, x0_max):
     # the determinant's terms decay as exp(-q x0^2 / 2) for q_same and q_diff;
     # a term with k = inf is 0 at every threshold; two roots, because 746 / k
     # overflows for k below 4e-306
-    r, _, _, k_mix, k_same, k_diff, _ = (-v for v in rows[0].ravel().tolist())
+    r, _, _, k_mix, k_same, k_diff, _ = (-v for v in rows.ravel().tolist())
     k = [v for v in (r, k_same, k_diff, k_mix) if 0.0 < v < math.inf]
     hi = min(x0_max, math.sqrt(_UNDERFLOW_EXPONENT) / math.sqrt(min(k))) if k else x0_max
     lo = 1e-6 * hi

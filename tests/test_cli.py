@@ -455,6 +455,24 @@ class TestOutputConventions:
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
+# analyze's flat object, frontier's list of flat objects, simulate's nested one,
+# and empty containers at the top and inside
+_JSON_SHAPES = (
+    {"lambda": 1.5, "c_x": 1.0, "c_p": 0.0, "physical": True, "nppt": False,
+     "eps_ab_at_best_x0": 0.123456789012, "rate_lb": -1.5e-13, "best_x0": 1e-300},
+    [{"c": 0.1, "lambda_star": 1.2, "lambda_solid": 1e300, "lambda_dashed": 2.0}] * 3,
+    {"accepted": 3, "acceptance_rate": 0.25, "blocks": 0,
+     "stderr_estimates": {"eps": 0.5, "eps_n": 0.0}, "label": "a \"quoted\" \u00e9"},
+    {}, [], {"a": []}, [{"a": {}}],
+)
+
+
+@pytest.mark.parametrize("obj", _JSON_SHAPES)
+def test_dump_json_matches_json_indent_2(capsys, obj):
+    cli._dump_json(obj, None)
+    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
+
+
 # extreme, non-finite and malformed spellings of a number
 _ODD_NUMBERS = (
     "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "5e-324", "1e-320", "-0", "0", "1e6",

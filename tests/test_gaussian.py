@@ -411,17 +411,29 @@ class TestSymmetricFamily:
 class TestDecay:
     def test_log_decay_table(self):
         # rows: k = -1e-15 (rounding below 0), 0, 0.5, inf; columns: an x0
-        # whose square underflows, 1, and one whose square overflows; the
-        # decay owns that overflow, so a caller's over="raise" cannot reach it
-        k = np.array([-1e-15, 0.0, 0.5, np.inf])
-        x0 = np.array([1e-170, 1.0, 1e200])
-        want = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.5, -np.inf], [0.0, -np.inf, -np.inf]])
-        with warnings.catch_warnings(), np.errstate(over="raise"):
+        # whose square underflows, one whose square is the least subnormal
+        # (so 0.5 x0^2 underflows), 1, and one whose square overflows.  The
+        # decay owns that overflow and the NaN of 0 * inf, so a caller's
+        # over="raise" and invalid="raise" cannot reach them.  Every zero is
+        # +0.0; numpy's fmin alone returns -0.0 or +0.0 for a -0.0 against
+        # 0.0 depending on its loop, so the table is read at one threshold,
+        # at each entry, and in a 64-point scan like the rate search's
+        k = [-1e-15, 0.0, 0.5, np.inf]
+        x0 = np.array([1e-170, 2e-162, 1.0, 1e200])
+        want = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, -0.5, -np.inf], [0.0, -np.inf, -np.inf, -np.inf]])
+        scan = np.arange(64) % len(x0)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
-            assert np.array_equal(g._log_decay(g._decay_rows(k[:, None]), x0), want)
-            for i, kk in enumerate(k.tolist()):
-                for j, xx in enumerate(x0.tolist()):
-                    assert g._log_decay(g._decay_rows(kk), xx) == want[i, j], (kk, xx)
+            tables = [
+                g._log_decay(g._decay_rows(k, 1), x0),
+                np.stack([g._log_decay(g._decay_rows(k), xx) for xx in x0.tolist()], axis=1),
+                np.array([[g._log_decay(g._decay_rows([kk]), xx)[0] for xx in x0.tolist()] for kk in k]),
+                g._log_decay(g._decay_rows(k, 1), x0[scan]),
+            ]
+        for got, expected in zip(tables, (want, want, want, want[:, scan])):
+            assert np.array_equal(got, expected)
+            assert not np.signbit(got[got == 0.0]).any()
 
     def test_only_gaussian_sets_errstate(self):
         # the threshold decay handles its own overflow, so no caller needs
