@@ -65,27 +65,8 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _json_text(obj, pad="\n"):
-    """``json.dumps(obj, indent=2)`` for str-keyed dicts, lists and scalars.
-    json writes ``indent=2`` token by token in Python; here its C encoder
-    writes each non-empty container of scalars in one call, with the newline
-    and indent of its items in the item separator."""
-    if not (isinstance(obj, (dict, list)) and obj):
-        return json.dumps(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    values = obj.values() if isinstance(obj, dict) else obj
-    if not any(isinstance(v, (dict, list)) for v in values):
-        text = json.dumps(obj, separators=(sep, ": "))
-    elif isinstance(obj, dict):
-        text = "{%s}" % sep.join(f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in obj.items())
-    else:
-        text = "[%s]" % sep.join(_json_text(v, inner) for v in obj)
-    return text[0] + inner + text[1:-1] + pad + text[-1]
-
-
 def _dump_json(obj, out_path):
-    _emit(_json_text(obj) + "\n", out_path)
+    _emit(json.dumps(obj, indent=2) + "\n", out_path)
 
 
 def _read_config(path, flags):
@@ -244,7 +225,9 @@ def _parse(argv):
 def cmd_analyze(args):
     params = _params(args)
     report = security.build_report(params, x0_max=args.x0_max)
-    _dump_json(
+    # json.dumps(..., indent=2) of a flat dict, from one C-encoder call
+    # that puts each newline and indent in the item separator
+    text = json.dumps(
         {
             "lambda": _fmt(params.lam),
             "c_x": _fmt(params.cx),
@@ -258,8 +241,9 @@ def cmd_analyze(args):
             "rate_lb": _fmt(report.rate_lb),
             "best_x0": _fmt(report.best_x0),
         },
-        args.out,
+        separators=(",\n  ", ": "),
     )
+    _emit("{\n  " + text[1:-1] + "\n}\n", args.out)
     return 0
 
 

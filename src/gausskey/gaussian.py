@@ -352,12 +352,6 @@ def squared_overlap_margin(lam, cx, cp):
     return lam - (lam - cp) * ((lam - cx) * (lam + cx))
 
 
-def squared_overlap_symmetric(p):
-    """Closed-form squared-overlap key condition of the state:
-    :func:`squared_overlap_margin` is positive."""
-    return bool(squared_overlap_margin(p.lam, p.cx, p.cp) > 0.0)
-
-
 def symmetric_exponents(p):
     """Per-state exponents ``(r, q_same, q_diff)`` of the family's closed
     forms: ``eps/(1-eps) = exp(-r x0^2)`` for the postselection error at

@@ -269,6 +269,9 @@ def optimize_rate(p, x0_max=X0_MAX):
     the search past the optimum.  A subnormal ``x0_max``, for which ``1e-6 hi``
     underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``.
     The state's decay table is built once; each scan runs only the kernel.
+    When ``best_rate <= 0``, ``best_x0`` is only where the scans' rate was
+    least negative, often the lower edge ``1e-6 hi``: it is not a
+    recommended threshold.
     """
     return _best_rate(_decay_table(p, 1), x0_max)
 
@@ -377,7 +380,10 @@ def build_report(p, x0_max=X0_MAX):
     The rate search and the report's ``eps_ab = g_r / (1 + g_r)`` and
     ``eve_overlap = g_same`` at its best threshold read the decay table that
     :func:`~gausskey.protocol.error_probability` and :func:`eve_overlap` read,
-    so they match those bit for bit.
+    so they match those bit for bit.  When ``rate_lb <= 0``, ``best_x0`` is
+    only where the rate search's value was least negative, often its lower
+    edge ``1e-6 hi`` (see :func:`optimize_rate`); it is not a recommended
+    threshold, and neither are the ``eps_ab`` and ``eve_overlap`` read there.
     """
     nppt = bool(_OVERLAP_VERDICT[INDIVIDUAL](p.lam, p.cx, p.cp) > 0.0)
     coherent_ad = bool(_OVERLAP_VERDICT[COHERENT_AD](p.lam, p.cx, p.cp) > 0.0)

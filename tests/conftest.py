@@ -2,6 +2,7 @@ import ast
 import faulthandler
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,11 +84,27 @@ def rejection_messages(path):
     return messages
 
 
-def assert_rejects(call, message):
-    """``call()`` raises ``InvalidInput`` itself, not a subclass, with exactly ``message``."""
-    with pytest.raises(InvalidInput) as info:
+def assert_rejects(call, message, error=InvalidInput):
+    """``call()`` raises ``error`` itself, not a subclass, with exactly ``message``."""
+    with pytest.raises(error) as info:
         call()
-    assert info.type is InvalidInput and str(info.value) == message
+    assert info.type is error and str(info.value) == message
+
+
+def traced_peak(call):
+    """``call()``'s result and the most traced memory it held at once above
+    what was held before, in bytes.  tracemalloc sees numpy's buffers, so a
+    bound on the peak holds on any machine."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

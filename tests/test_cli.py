@@ -3,13 +3,13 @@ import contextlib
 import functools
 import io
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import traced_peak
 from gausskey import cli
 from gausskey.errors import IllConditioned
 
@@ -45,27 +45,9 @@ class TestAnalyze:
 
 
 class TestFrontier:
-    def test_json_format(self, capsys):
-        code, out, _ = run(
-            capsys, "frontier", "--c-min", "0.5", "--c-max", "1.0", "--steps", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert len(doc) == 2 and {"c", "lambda_star", "lambda_solid", "lambda_dashed"} == set(doc[0])
-
     def test_huge_steps_exits_1_before_allocating(self, capsys):
         # 10**13 points would be 80 TB; the cap is checked before any grid exists
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            code, out, err = run(capsys, "frontier", "--steps", str(10**13))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        (code, out, err), peak = traced_peak(lambda: run(capsys, "frontier", "--steps", str(10**13)))
         assert code == 1 and out == ""
         assert err == "error: --steps must be between 2 and 1000000\n"
         assert peak < 2**20
@@ -292,6 +274,15 @@ GOLDEN = [
         '  "best_x0": 4.9999958738\n}\n',
         "",
     ),
+    # frontier's list of flat objects, written by json's own indent=2
+    (
+        ("frontier", "--c-min", "0.5", "--c-max", "1.0", "--steps", "2", "--format", "json"),
+        0,
+        '[\n  {\n    "c": 0.5,\n    "lambda_star": 1.49999963573,\n    "lambda_solid": 1.11803398875,\n'
+        '    "lambda_dashed": 1.5\n  },\n  {\n    "c": 1.0,\n    "lambda_star": 1.99999972068,\n'
+        '    "lambda_solid": 1.41421356237,\n    "lambda_dashed": 2.0\n  }\n]\n',
+        "",
+    ),
 ]
 
 # usage errors worded by argparse, whose wording varies across Python versions:
@@ -348,18 +339,8 @@ class TestOracleCheckCommand:
         assert lines[-1] == "PASS"
 
     def test_full_traced_peak(self, capsys):
-        # tracemalloc sees numpy's buffers, so the bound holds on any machine;
         # the full 41^4 grid alone would be 43 MiB
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            code = cli.main(["oracle-check", "--level", "full"])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        code, peak = traced_peak(lambda: cli.main(["oracle-check", "--level", "full"]))
         assert code == 0 and capsys.readouterr().out.endswith("PASS\n")
         assert peak <= 4 * 2**20
 
@@ -453,24 +434,6 @@ class TestOutputConventions:
             code, out, err = run(capsys, *argv)
             assert code == 1 and out == "", argv
             assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
-
-
-# analyze's flat object, frontier's list of flat objects, simulate's nested one,
-# and empty containers at the top and inside
-_JSON_SHAPES = (
-    {"lambda": 1.5, "c_x": 1.0, "c_p": 0.0, "physical": True, "nppt": False,
-     "eps_ab_at_best_x0": 0.123456789012, "rate_lb": -1.5e-13, "best_x0": 1e-300},
-    [{"c": 0.1, "lambda_star": 1.2, "lambda_solid": 1e300, "lambda_dashed": 2.0}] * 3,
-    {"accepted": 3, "acceptance_rate": 0.25, "blocks": 0,
-     "stderr_estimates": {"eps": 0.5, "eps_n": 0.0}, "label": "a \"quoted\" \u00e9"},
-    {}, [], {"a": []}, [{"a": {}}],
-)
-
-
-@pytest.mark.parametrize("obj", _JSON_SHAPES)
-def test_dump_json_matches_json_indent_2(capsys, obj):
-    cli._dump_json(obj, None)
-    assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 # extreme, non-finite and malformed spellings of a number

@@ -180,8 +180,7 @@ class TestWilliamson:
         assert_williamson(random_physical_cm(rng, n), tol=1e-9)
 
     def test_near_singular_rejected(self):
-        with pytest.raises(IllConditioned):
-            g.williamson(np.diag([1e-12, 1e-12]))
+        assert_rejects(lambda: g.williamson(1e-12 * np.eye(2)), "CM is numerically singular", IllConditioned)
 
 
 class TestPurify:
@@ -219,6 +218,16 @@ class TestPurify:
             assert_rejects(lambda: g.purify(st), "state is unphysical (symplectic eigenvalue below 1)")
         else:
             assert (g.purify(st).cm[:2, 2:] == 0.0).all() == (margin < 1e-9)
+
+    def test_output_purity_bound(self, monkeypatch):
+        # the output's symplectic spectrum may stray 1e-6 from 1: a deviation
+        # of 0.9x that is accepted and 1.1x rejected with the exact message
+        st = g.GaussianState(np.diag([2.0, 2.0]), np.zeros(2))
+        monkeypatch.setattr(g, "symplectic_spectrum", lambda cm: np.array([1.0, 1.0 + 0.9e-6]))
+        assert g.purify(st).n_modes == 2
+        monkeypatch.setattr(g, "symplectic_spectrum", lambda cm: np.array([1.0, 1.0 + 1.1e-6]))
+        assert_rejects(lambda: g.purify(st), "purification is not pure (symplectic spectrum deviates from 1)",
+                       IllConditioned)
 
     def test_ill_conditioned_output_raises(self):
         # a valid state whose purification comes out with spectrum
@@ -285,8 +294,8 @@ class TestConditionOnX:
 
     def test_singular_x_block_rejected(self):
         st = g.GaussianState(np.diag([0.0, 1.0, 1.0, 1.0]), np.zeros(4))
-        with pytest.raises(IllConditioned):
-            g.condition_on_x(st, (0,), np.array([0.5]))
+        assert_rejects(lambda: g.condition_on_x(st, (0,), np.array([0.5])),
+                       "measured X block of the CM is singular", IllConditioned)
 
     def test_huge_outcomes_scale_exactly(self, purified_symmetric_111):
         # the displacement is linear in the outcomes, and power-of-two units
@@ -344,8 +353,13 @@ class TestPureOverlap:
         assert abs(joint - parts) < 1e-12
 
     def test_rejects_mixed_state(self):
-        assert_rejects(lambda: g.pure_overlap(np.diag([2.0, 2.0]), np.zeros(2), np.ones(2)),
+        # (1 + d) I has symplectic eigenvalue 1 + d: d = 1.1x the purity bound 1e-6
+        assert_rejects(lambda: g.pure_overlap((1.0 + 1.1e-6) * np.eye(2), np.zeros(2), np.ones(2)),
                        "CM is not pure (symplectic spectrum deviates from 1)")
+
+    def test_accepts_state_within_purity_bound(self):
+        # d = 0.9x the bound 1e-6
+        assert g.pure_overlap((1.0 + 0.9e-6) * np.eye(2), np.zeros(2), np.zeros(2)) == 1.0
 
     def test_huge_displacements(self):
         # a form past the float range gives exactly 0, with no numpy overflow
@@ -398,7 +412,7 @@ class TestSymmetricFamily:
             p = g.SymmetricStateParams(lam, cx, cp)
             assert p.lam > p.cx
             assert g.npt_symmetric(p) is True
-            assert g.squared_overlap_symmetric(p) is coherent_ad
+            assert (g.squared_overlap_margin(p.lam, p.cx, p.cp) > 0.0) == coherent_ad
 
     def test_finiteness_check_takes_numpy_scalars_and_ints(self):
         for triple in ((np.float64(1.5), np.float32(1.0), np.int64(1)), (2, 1, 0)):

@@ -115,6 +115,12 @@ class TestPseudoInverse:
             assert np.abs((m @ plus) - (m @ plus).T).max() < 1e-9
             assert np.abs((plus @ m) - (plus @ m).T).max() < 1e-9
 
+    def test_default_tol_edge(self):
+        # a singular value at 0.9x the default tol = 1e-10 of the largest one
+        # is dropped, and one at 1.1x kept
+        for s, inverse in ((0.9e-10, 0.0), (1.1e-10, 1.0 / 1.1e-10)):
+            assert np.allclose(matkit.pseudo_inverse(np.diag([1.0, s])), np.diag([1.0, inverse]), rtol=1e-12)
+
     def test_rejects_bad_tol(self):
         assert_rejects(lambda: matkit.pseudo_inverse(np.eye(2), tol=0.0), "tol must be positive")
 
@@ -241,9 +247,16 @@ class TestSampleMvn:
         xs = matkit.sample_mvn(np.zeros((2, 2)), 10, matkit.Rng(0))
         assert np.array_equal(xs, np.zeros((10, 2)))
 
+    def test_symmetrizes_asymmetry_below_the_bound(self):
+        # an asymmetry of 0.9x the bound 1e-10 * (1 + max|cov|) = 3e-10 is
+        # accepted and averaged away; 1.1x is a TestInputChecks row
+        cov = np.array([[1.0, 0.5 + 2.7e-10], [0.5, 2.0]])
+        sym = matkit.sample_mvn(0.5 * (cov + cov.T), 4, matkit.Rng(0))
+        assert np.array_equal(matkit.sample_mvn(cov, 4, matkit.Rng(0)), sym)
+
     def test_not_psd(self):
-        with pytest.raises(NotPSD):
-            matkit.sample_mvn(np.diag([1.0, -1.0]), 10, matkit.Rng(0))
+        assert_rejects(lambda: matkit.sample_mvn(np.diag([1.0, -1.0]), 10, matkit.Rng(0)),
+                       "covariance has eigenvalue -1.0", NotPSD)
 
 
 class TestBinaryEntropy:
@@ -373,7 +386,8 @@ class TestInputChecks:
                      id="pinv-1d"),
         pytest.param(lambda: matkit.sample_mvn(np.ones((2, 3)), 2, matkit.Rng(0)), "cov must be square",
                      id="mvn-non-square"),
-        pytest.param(lambda: matkit.sample_mvn(np.array([[1.0, 0.5], [0.0, 1.0]]), 2, matkit.Rng(0)),
+        # an asymmetry of 1.1x the bound 1e-10 * (1 + max|cov|) = 3e-10
+        pytest.param(lambda: matkit.sample_mvn(np.array([[1.0, 0.5 + 3.3e-10], [0.5, 2.0]]), 2, matkit.Rng(0)),
                      "cov must be symmetric", id="mvn-asymmetric"),
         pytest.param(lambda: matkit.Rng(1, -1), "stream must be an integer in [0, 2**60)",
                      id="rng-stream-negative"),

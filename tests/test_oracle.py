@@ -1,10 +1,8 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_rejects, random_physical_cm
+from conftest import assert_rejects, random_physical_cm, traced_peak
 from gausskey import gaussian as g, oracle as o
 from gausskey.errors import GridTooSmall, OutcomeUnlikely
 
@@ -208,19 +206,9 @@ class TestSlabBuild:
         _assert_matches_dense(cm, dv, covering_axis(cm, dv, 31))
 
     def test_traced_peak_is_one_amplitude_array(self, purified_symmetric_111):
-        # tracemalloc sees numpy's buffers, so the bound holds on any machine
         _, pur = purified_symmetric_111
         axis = o.GridAxis(-20.0 / 3.0, 20.0 / 3.0, 41)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            psi = o.wavefunction_from_pure(pur.cm, pur.dv, axis)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        psi, peak = traced_peak(lambda: o.wavefunction_from_pure(pur.cm, pur.dv, axis))
         assert psi.amplitudes.shape == (41,) * 4
         assert peak <= 1.05 * psi.amplitudes.nbytes
 
@@ -294,9 +282,8 @@ class TestGridConditionOnX:
 
         cond = o.grid_condition_on_x(one_amplitude_slice(1.1e-12), [0], [0.0])
         assert np.array_equal(cond.amplitudes, [0.0, 1.0, 0.0])
-        with pytest.raises(OutcomeUnlikely) as info:
-            o.grid_condition_on_x(one_amplitude_slice(0.9e-12), [0], [0.0])
-        assert info.type is OutcomeUnlikely and str(info.value) == "slice at [0.] has norm 9e-13"
+        assert_rejects(lambda: o.grid_condition_on_x(one_amplitude_slice(0.9e-12), [0], [0.0]),
+                       "slice at [0.] has norm 9e-13", OutcomeUnlikely)
 
     def test_rejects_non_finite_outcome(self):
         w2 = o.wavefunction_from_pure(np.eye(4), np.zeros(4), AX)

@@ -420,7 +420,7 @@ class TestOptimizeRate:
 _PREDICATES = {
     sec.INDIVIDUAL: npt_symmetric,
     sec.FINITE_COHERENT: npt_symmetric,
-    sec.COHERENT_AD: gaussian.squared_overlap_symmetric,
+    sec.COHERENT_AD: lambda p: sec.coherent_ad_secure(p, 1.0),
     sec.GENERAL: lambda p: sec.optimize_rate(p)[1] > sec._RATE_FLOOR,
 }
 
