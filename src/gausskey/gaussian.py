@@ -384,22 +384,22 @@ def symmetric_exponents(p):
     return r, 2.0 * (p.lam - p.cp) - 2.0 / plus, 2.0 * (p.lam + p.cp) - 2.0 / minus
 
 
-def _decay_rows(k, ndim=0):
+def _decay_rows(k):
     """The per-state half of the decays ``exp(-k x0^2)``: the rows ``-k`` of
-    the floats ``k``, shaped ``(len(k), 1, ...)`` to broadcast against
-    ``ndim``-dimensional thresholds, with each ``k <= 0`` as 0.  Overlaps never
-    exceed 1, so a negative ``k`` is rounding at the pure boundary or the
-    -1e-9 physicality band; taken as is it would blow up at huge thresholds."""
-    return np.array([-v if v > 0.0 else 0.0 for v in k]).reshape((len(k),) + (1,) * ndim)
+    the floats ``k``, shaped ``(len(k), 1)`` to broadcast against a 1-D array
+    of thresholds, with each ``k <= 0`` as 0.  Overlaps never exceed 1, so a
+    negative ``k`` is rounding at the pure boundary or the -1e-9 physicality
+    band; taken as is it would blow up at huge thresholds."""
+    return np.array([-v if v > 0.0 else 0.0 for v in k])[:, None]
 
 
-def _decay_table(p, ndim=0):
+def _decay_table(p):
     """The :func:`_decay_rows` of every decay the family's closed forms read,
     ``k = r, q_same, q_diff, 2 q_mix, q_same/2, q_diff/2, q_mix``, built from
     the Python floats of :func:`symmetric_exponents`."""
     r, q_same, q_diff = symmetric_exponents(p)
     q_mix = 0.25 * (q_same + q_diff)
-    return _decay_rows((r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff, q_mix), ndim)
+    return _decay_rows((r, q_same, q_diff, 2.0 * q_mix, 0.5 * q_same, 0.5 * q_diff, q_mix))
 
 
 def _thresholds(x0):
@@ -422,7 +422,7 @@ def _check_x0(x0):
 
 def _decays_at(p, x0):
     """The seven decays of :func:`_decay_table` at one threshold, as floats."""
-    return np.exp(_log_decay(_decay_table(p), _check_x0(x0))).tolist()
+    return np.exp(_log_decay(_decay_table(p), _check_x0(x0))).ravel().tolist()
 
 
 def _log_decay(rows, x0):

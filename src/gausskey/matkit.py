@@ -168,8 +168,10 @@ def minimize_scalar(f, lo, hi, tol=1e-8):
     further scan covers the bracket around the best point of the last, until
     that bracket is at most ``tol`` wide (or stops shrinking at the
     floating-point resolution of huge brackets).  For a unimodal basin the
-    returned ``x`` is within ``tol`` of its argmin.  Returns the best scanned
-    point and its value ``(x, f(x))``.  ``lo``, ``hi`` and ``tol`` are read by
+    returned ``x`` is within ``tol`` of its argmin.  Returns the best point of
+    the last scan and its value ``(x, f(x))``.  A scan's best point is not a
+    point of the next scan, so an earlier scan may have evaluated a lower
+    value than the one returned.  ``lo``, ``hi`` and ``tol`` are read by
     :func:`_finite`, so a numeric string is refused.
     """
     if not (_finite(lo, hi) and lo < hi):

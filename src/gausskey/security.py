@@ -233,7 +233,7 @@ def rate_lower_bound(p, x0):
     ``det / lambda_+``, so no eigenvalue is a difference of near-equal terms.
     """
     x0 = _thresholds(x0)
-    rate = _rate_kernel(_decay_table(p, x0.ndim), x0)
+    rate = _rate_kernel(_decay_table(p), x0.ravel()).reshape(x0.shape)
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -267,13 +267,17 @@ def optimize_rate(p, x0_max=X0_MAX):
     ``q_diff/2`` and ``2 q_mix``).  Past the cap every such term underflows to
     0, so the rate is exactly constant there and a huge ``x0_max`` cannot push
     the search past the optimum.  A subnormal ``x0_max``, for which ``1e-6 hi``
-    underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``.
+    underflows to 0, raises ``InvalidInput``.  Returns ``(best_x0, best_rate)``,
+    the best point of the last scan (see
+    :func:`~gausskey.matkit.minimize_scalar`): an earlier scan may have
+    evaluated a rate one rounding step higher (up to 2.2e-16 on the
+    benchmark's reference states).
     The state's decay table is built once; each scan runs only the kernel.
     When ``best_rate <= 0``, ``best_x0`` is only where the scans' rate was
     least negative, often the lower edge ``1e-6 hi``: it is not a
     recommended threshold.
     """
-    return _best_rate(_decay_table(p, 1), x0_max)
+    return _best_rate(_decay_table(p), x0_max)
 
 
 def any_x0_secure(p, x0_grid=None, attack=INDIVIDUAL):
@@ -387,7 +391,7 @@ def build_report(p, x0_max=X0_MAX):
     """
     nppt = bool(_OVERLAP_VERDICT[INDIVIDUAL](p.lam, p.cx, p.cp) > 0.0)
     coherent_ad = bool(_OVERLAP_VERDICT[COHERENT_AD](p.lam, p.cx, p.cp) > 0.0)
-    rows = _decay_table(p, 1)
+    rows = _decay_table(p)
     best_x0, rate = _best_rate(rows, x0_max)
     g_r, g_same = np.exp(_log_decay(rows, best_x0)[:2, 0])
     return SecurityReport(

@@ -1,4 +1,5 @@
 import ast
+import collections
 import faulthandler
 import os
 import sys
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gausskey import gaussian
+from gausskey import gaussian, protocol, security
 from gausskey.errors import InvalidInput
 
 
@@ -89,6 +90,43 @@ def assert_rejects(call, message, error=InvalidInput):
     with pytest.raises(error) as info:
         call()
     assert info.type is error and str(info.value) == message
+
+
+# the security layer's internals whose calls the ledger records, each patched
+# where its callers look it up: the decay table (security imports it, and
+# gaussian's threshold readers call it), the exponents it is built from, the
+# threshold rule, the rate scan's kernel, the rate search, and the two public
+# readers of eps and the overlap
+_WATCHED = (
+    (gaussian, "_decay_table"), (security, "_decay_table"), (gaussian, "symmetric_exponents"),
+    (gaussian, "_check_x0"), (security, "_check_x0"), (gaussian, "_thresholds"), (security, "_thresholds"),
+    (security, "_rate_kernel"), (security, "optimize_rate"),
+    (protocol, "error_probability"), (security, "eve_overlap"),
+)
+
+
+@pytest.fixture
+def ledger(monkeypatch):
+    """The security layer's work, recorded: ``ledger(call)`` runs ``call()``
+    and returns, for each watched internal by name, the argument tuples of its
+    calls in order; a name patched in two modules files both under one name."""
+    book = collections.defaultdict(list)
+
+    def recorded(name, real):
+        def call(*args, **kwargs):
+            book[name].append(args)
+            return real(*args, **kwargs)
+        return call
+
+    for module, name in _WATCHED:
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+
+    def run(call):
+        book.clear()
+        call()
+        return book
+
+    return run
 
 
 def traced_peak(call):

@@ -193,18 +193,6 @@ class TestPurify:
         assert np.allclose(out.cm[2:, 2:], theta @ cm @ theta)
         assert np.allclose(out.dv, [0.3, -0.2, 0.3, 0.2])
 
-    def test_thermal(self):
-        st = g.GaussianState(np.diag([2.0, 2.0]), np.zeros(2))
-        out = g.purify(st)
-        assert np.abs(g.symplectic_spectrum(out.cm) - 1.0).max() < 1e-9
-        assert np.array_equal(out.cm[:2, :2], st.cm)
-
-    def test_symmetric_family(self):
-        st = g.symmetric_embed(g.SymmetricStateParams(1.5, 1.0, 1.0))
-        out = g.purify(st)
-        assert out.n_modes == 4
-        assert np.abs(g.symplectic_spectrum(out.cm) - 1.0).max() < 1e-9
-
     def test_rejects_unphysical(self):
         st = g.GaussianState(np.diag([0.5, 0.5]), np.zeros(2))
         assert_rejects(lambda: g.purify(st), "state is unphysical (symplectic eigenvalue below 1)")
@@ -325,14 +313,6 @@ class TestPureOverlap:
         ov = g.pure_overlap(np.eye(2), np.zeros(2), np.array([2.0, 0.0]))
         assert abs(abs(ov) ** 2 - np.exp(-2.0)) < 1e-12
 
-    def test_family_adversary_pair(self, purified_symmetric_111):
-        _, pur = purified_symmetric_111
-        a = g.condition_on_x(pur, (0, 1), np.array([1.0, 1.0])).state
-        b = g.condition_on_x(pur, (0, 1), np.array([-1.0, -1.0])).state
-        ov = g.pure_overlap(a.cm, a.dv, b.dv)
-        assert abs(abs(ov) ** 2 - np.exp(-0.4)) < 1e-12
-        assert abs(ov.imag) < 1e-12 and ov.real > 0
-
     def test_magnitude_symmetric(self):
         rng = np.random.default_rng(6)
         d1, d2 = rng.standard_normal(2), rng.standard_normal(2)
@@ -439,11 +419,12 @@ class TestDecay:
         scan = np.arange(64) % len(x0)
         with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
             warnings.simplefilter("error")
+            rows = g._decay_rows(k)
             tables = [
-                g._log_decay(g._decay_rows(k, 1), x0),
-                np.stack([g._log_decay(g._decay_rows(k), xx) for xx in x0.tolist()], axis=1),
-                np.array([[g._log_decay(g._decay_rows([kk]), xx)[0] for xx in x0.tolist()] for kk in k]),
-                g._log_decay(g._decay_rows(k, 1), x0[scan]),
+                g._log_decay(rows, x0),
+                np.hstack([g._log_decay(rows, xx) for xx in x0.tolist()]),
+                np.array([[g._log_decay(g._decay_rows([kk]), xx)[0, 0] for xx in x0.tolist()] for kk in k]),
+                g._log_decay(rows, x0[scan]),
             ]
         for got, expected in zip(tables, (want, want, want, want[:, scan])):
             assert np.array_equal(got, expected)

@@ -135,20 +135,6 @@ class TestMinimizeScalar:
         x, _ = matkit.minimize_scalar(lambda x: abs(x - 0.3), 0.0, 1.0, tol=1e-8)
         assert abs(x - 0.3) < 1e-6
 
-    def test_rate_bound_dense_grid_oracle(self):
-        from gausskey.gaussian import SymmetricStateParams
-        from gausskey.security import rate_lower_bound
-
-        p = SymmetricStateParams(1.2, 0.55, 0.55)
-        f = lambda x0: -rate_lower_bound(p, x0)
-        x, fx = matkit.minimize_scalar(f, 1e-6, 5.0, tol=1e-6)
-        grid = np.linspace(1e-6, 5.0, 10_000)
-        vals = np.array([f(g) for g in grid])
-        k = int(np.argmin(vals))
-        spacing = grid[1] - grid[0]
-        assert abs(x - grid[k]) <= spacing
-        assert fx <= vals[k] + 1e-12
-
     def test_few_batched_calls(self):
         for f, lo, hi, want in ((lambda x: (x - 1.0) ** 2, 0.0, 3.0, 1.0),
                                 (lambda x: abs(x - 0.3), 0.0, 1.0, 0.3)):

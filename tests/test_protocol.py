@@ -38,9 +38,6 @@ def assert_same_rate(k1, n1, k2, n2, what):
 
 
 class TestErrorProbability:
-    def test_reference_point(self):
-        assert abs(pr.error_probability(P111, 1.0) - 0.03917) < 1e-5
-
     def test_uncorrelated(self):
         assert pr.error_probability(SymmetricStateParams(2.0, 0.0, 0.0), 1.0) == 0.5
 
@@ -85,9 +82,6 @@ class TestAdError:
     def test_single_block_identity(self):
         for eps in (0.0, 0.1, 0.3917):
             assert pr.ad_error(eps, 1) == eps
-
-    def test_reference_value(self):
-        assert abs(pr.ad_error(0.03917, 2) - 0.001659) < 1e-6
 
     def test_bound_holds_and_tightens(self):
         eps = 0.2

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -328,12 +329,6 @@ class TestAnyX0Secure:
 
 
 class TestEffectiveState:
-    def test_pure_boundary_rank_one(self):
-        eff = sec.effective_state(pure_boundary_params(1.4), 1.0)
-        w = np.linalg.eigvalsh(eff.rho)
-        assert abs(w.max() - 1.0) < 1e-9
-        assert matkit.entropy_bits(np.clip(w, 0, None)) < 1e-9
-
     def test_identity_gram_gives_classical_mixture(self, monkeypatch):
         # infinite off-diagonal exponents make the Gram matrix the identity
         r, _, _ = symmetric_exponents(P111)
@@ -352,22 +347,8 @@ class TestEffectiveState:
         assert np.abs(eff.rho - eff.rho.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(eff.rho).min() > -1e-9
 
-    def test_entropy_invariant_under_sign_flip(self):
-        for x0 in (0.5, 1.7):
-            wp = np.linalg.eigvalsh(sec.effective_state(P111, x0).rho)
-            wm = np.linalg.eigvalsh(sec.effective_state(P111, -x0).rho)
-            assert np.abs(wp - wm).max() < 1e-12
-
 
 class TestRateBound:
-    def test_pure_boundary_rate(self):
-        p = pure_boundary_params(1.6)
-        for x0 in (0.5, 1.5):
-            eps = error_probability(p, x0)
-            want = 1.0 - matkit.binary_entropy(eps)
-            assert abs(sec.rate_lower_bound(p, x0) - want) < 1e-9
-            assert sec.rate_lower_bound(p, x0) > 0
-
     def test_empty_thresholds(self):
         # elementwise over arrays: no thresholds give no rates
         for shape in ((0,), (2, 0)):
@@ -404,9 +385,6 @@ class TestOptimizeRate:
         eps = error_probability(p, best_x0)
         assert abs(best_rate - (1.0 - matkit.binary_entropy(eps))) < 1e-9
         assert abs(best_rate - 1.0) < 1e-10
-
-    def test_product_state(self):
-        assert sec.optimize_rate(SymmetricStateParams(1.3, 0.0, 0.0))[1] <= 0.0
 
     def test_beats_dense_grid_random_states(self):
         rng = np.random.default_rng(53)
@@ -509,24 +487,6 @@ class TestFrontier:
     def test_lockstep_matches_bisection_per_c(self, grid, attack):
         assert sec.security_frontier(grid, attack) == reference_frontier(grid, attack)
 
-    def test_general_rate_searches(self, monkeypatch):
-        # the lockstep runs optimize_rate at exactly the points of the per-c
-        # loop, 648 on the CLI default grid
-        calls = []
-        search = sec.optimize_rate
-
-        def counted(p, x0_max=sec.X0_MAX):
-            calls.append((p.lam, p.cx))
-            return search(p, x0_max)
-
-        monkeypatch.setattr(sec, "optimize_rate", counted)
-        points = []
-        for frontier in (sec.security_frontier, reference_frontier):
-            calls.clear()
-            frontier(np.linspace(0.1, 3.0, 30), sec.GENERAL)
-            points.append(sorted(calls))
-        assert points[0] == points[1] and len(points[0]) == 648
-
     def test_low_end_of_separable_range_bisects(self):
         # the rails are 1e-12 apart, within the bisection width: the frontier
         # is the bracket's midpoint, not a rail
@@ -553,15 +513,6 @@ class TestAttackHierarchy:
 
 
 class TestBuildReport:
-    def test_reference_point(self):
-        rep = sec.build_report(P111)
-        assert rep.nppt
-        assert rep.individual_secure and rep.coherent_ad_secure
-        eps = error_probability(P111, rep.best_x0)
-        assert abs(eps - rep.eps_ab) < 1e-15
-        assert rep.individual_secure == (rep.eps_ab / (1 - rep.eps_ab) < rep.eve_overlap)
-        assert rep.rate_lb <= 1.0
-
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(physical_params())
     def test_matches_threshold_readers_bit_for_bit(self, p):
@@ -571,62 +522,60 @@ class TestBuildReport:
         assert rep.eps_ab == error_probability(p, rep.best_x0)
         assert rep.eve_overlap == sec.eve_overlap(p, rep.best_x0)
 
-    def test_scan_work_and_no_second_derivation(self, monkeypatch):
-        # pinned scan counts: hoisting the per-state rows must not change the
-        # search, and the report reads eps and the overlap from those rows
-        scans = []
-        minimize = matkit.minimize_scalar
 
-        def counted(f, lo, hi, tol=1e-8):
-            def objective(xs):
-                scans.append(np.size(xs))
-                return f(xs)
-
-            return minimize(objective, lo, hi, tol)
-
-        def forbidden(*args):
-            raise AssertionError("build_report derived eps or the overlap a second time")
-
-        monkeypatch.setattr(matkit, "minimize_scalar", counted)
-        monkeypatch.setattr(protocol, "error_probability", forbidden)
-        monkeypatch.setattr(sec, "eve_overlap", forbidden)
-        for state, count in (((1.5, 1.0, 1.0), 5), ((2.0, 0.5, 0.5), 4)):
-            scans.clear()
-            sec.build_report(SymmetricStateParams(*state))
-            assert scans == [64] * count, state
-
-    def test_builds_one_decay_table(self, monkeypatch):
-        # the rate search and the report's eps and overlap share one table
-        built = []
-        table = sec._decay_table
-
-        def counted(p, ndim=0):
-            built.append(ndim)
-            return table(p, ndim)
-
-        monkeypatch.setattr(sec, "_decay_table", counted)
-        for state in ((1.5, 1.0, 1.0), (2.0, 0.5, 0.5), (1.0, 0.0, 0.0)):
-            built.clear()
-            sec.build_report(SymmetricStateParams(*state))
-            assert len(built) == 1, state
+# one row per entry point of the security layer: the call, and the readings of
+# its work that it pins (a reading a row does not name is free; a callable pin
+# is that reading of the reference call).  A report builds one decay table,
+# scans it five or four times and reads eps and the overlap from it without
+# deriving them again.  An overlap verdict is the sign of a margin in
+# (lam, cx, cp), so it reads no exponent and builds no table.  A rate search
+# picks its own thresholds and an overlap verdict holds at every threshold, so
+# neither checks one.  The lockstep general frontier searches at exactly the
+# points of a per-c bisection, 648 on the CLI default grid.
+_NO_TABLE = {"decay tables": 0, "exponent reads": 0}
+_CLI_GRID = np.linspace(0.1, 3.0, 30)
+_WORK = [
+    pytest.param(lambda: sec.build_report(P111),
+                 {"decay tables": 1, "scans": [64] * 5, "second derivations": 0, "threshold checks": 0},
+                 id="report-1.5-1-1"),
+    pytest.param(lambda: sec.build_report(SymmetricStateParams(2.0, 0.5, 0.5)),
+                 {"decay tables": 1, "scans": [64] * 4, "second derivations": 0}, id="report-2-0.5-0.5"),
+    pytest.param(lambda: sec.build_report(SymmetricStateParams(1.0, 0.0, 0.0)), {"decay tables": 1},
+                 id="report-1-0-0"),
+    pytest.param(lambda: sec.optimize_rate(P111), {"threshold checks": 0}, id="optimize-rate"),
+    *(pytest.param(partial(sec.any_x0_secure, P111, attack=attack), {**_NO_TABLE, "threshold checks": 0},
+                   id=f"any-x0-{attack}") for attack in sec._OVERLAP_VERDICT),
+    *(pytest.param(partial(sec.any_x0_secure, SymmetricStateParams(2.0, 0.5, 0.0), [0.5, 1.0], attack),
+                   _NO_TABLE, id=f"any-x0-grid-{attack}") for attack in sec._OVERLAP_VERDICT),
+    pytest.param(lambda: sec.coherent_ad_secure(P111, 1.0), _NO_TABLE, id="coherent-ad-secure"),
+    *(pytest.param(partial(sec.security_frontier, [0.5, 1.0, 2.0], attack), {**_NO_TABLE, "threshold checks": 0},
+                   id=f"frontier-{attack}") for attack in (sec.INDIVIDUAL, sec.COHERENT_AD)),
+    pytest.param(lambda: sec.security_frontier(_CLI_GRID, sec.GENERAL),
+                 {"threshold checks": 0, "rate searches": 648,
+                  "search points": lambda: reference_frontier(_CLI_GRID, sec.GENERAL)}, id="frontier-general"),
+    # the lower rail has no key, so the bracket closes on it after one search
+    pytest.param(lambda: sec.security_frontier([1e-9], sec.GENERAL), {"rate searches": 1}, id="frontier-general-keyless"),
+]
 
 
-def test_overlap_attacks_never_build_a_decay_table(monkeypatch):
-    # their conditions are signs of polynomial margins in (lam, cx, cp), which
-    # hold at every threshold, so no exponent and no exp(-k x0^2) is evaluated
-    def forbidden(*args):
-        raise AssertionError("an overlap attack read an exponent or built a decay table")
+def _work(ledger, call):
+    book = ledger(call)
+    return {
+        "decay tables": len(book["_decay_table"]),
+        "exponent reads": len(book["symmetric_exponents"]),
+        "threshold checks": len(book["_check_x0"]) + len(book["_thresholds"]),
+        "scans": [np.size(x0) for _, x0 in book["_rate_kernel"]],
+        "second derivations": len(book["error_probability"]) + len(book["eve_overlap"]),
+        "rate searches": len(book["optimize_rate"]),
+        "search points": sorted((p.lam, p.cx) for p, *_ in book["optimize_rate"]),
+    }
 
-    monkeypatch.setattr(sec, "_decay_table", forbidden)
-    monkeypatch.setattr(gaussian, "_decay_table", forbidden)
-    monkeypatch.setattr(gaussian, "symmetric_exponents", forbidden)
-    monkeypatch.setattr(sec, "symmetric_exponents", forbidden, raising=False)
-    for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT, sec.COHERENT_AD):
-        assert sec.any_x0_secure(P111, [0.5, 1.0], attack)
-        assert not sec.any_x0_secure(SymmetricStateParams(2.0, 0.5, 0.0), attack=attack)
-    assert sec.coherent_ad_secure(P111, 1.0)
-    for attack in (sec.INDIVIDUAL, sec.COHERENT_AD):
-        assert len(sec.security_frontier([0.5, 1.0, 2.0], attack)) == 3
+
+@pytest.mark.parametrize("call, pins", _WORK)
+def test_work_ledger(ledger, call, pins):
+    got = _work(ledger, call)
+    want = {name: _work(ledger, pin)[name] if callable(pin) else pin for name, pin in pins.items()}
+    assert {name: got[name] for name in pins} == want
 
 
 class TestInputChecks:
@@ -699,22 +648,6 @@ class TestThresholdRule:
         messages = rejection_messages(pathlib.Path(sec.__file__))
         assert defs == ["gaussian", "gaussian"]
         assert messages and not [m for m in messages if m.startswith("x0 ")], messages
-
-    def test_search_and_attack_scans_never_check_a_threshold(self, monkeypatch):
-        # the rate search picks its own thresholds, and the overlap conditions
-        # hold at every threshold, so neither reaches the rule
-        def forbidden(x0):
-            raise AssertionError("a threshold was checked")
-
-        for name in ("_check_x0", "_thresholds"):
-            monkeypatch.setattr(gaussian, name, forbidden)
-            monkeypatch.setattr(sec, name, forbidden)
-        assert sec.build_report(P111).rate_lb > 0
-        assert sec.optimize_rate(P111)[1] > 0
-        for attack in (sec.INDIVIDUAL, sec.GENERAL):
-            assert len(sec.security_frontier([0.5, 1.0], attack)) == 2
-        for attack in (sec.INDIVIDUAL, sec.FINITE_COHERENT, sec.COHERENT_AD):
-            assert sec.any_x0_secure(P111, attack=attack)
 
 
 class TestEveEnsembleHugeThresholds:
