@@ -29,8 +29,7 @@ the sign of a polynomial margin in ``(lam, cx, cp)``:
 
 :data:`_OVERLAP_VERDICT` maps each overlap attack to its margin, and every
 overlap verdict here is one lookup and one margin call, positive meaning
-key; the margins are elementwise, so a frontier reads them over arrays.
-The decay table takes care of a threshold whose square overflows, so
+key.  The decay table takes care of a threshold whose square overflows, so
 nothing here touches numpy's error state; and
 :func:`gausskey.gaussian._thresholds` is the one rule for what a threshold
 is, so nothing here checks one on its own.
@@ -38,7 +37,7 @@ is, so nothing here checks one on its own.
 
 Frontier scans locate, per correlation strength, the largest local variance
 that still admits a secure threshold choice; :func:`security_frontier`
-bisects every correlation of its grid in lockstep.
+bisects each correlation of its grid on its own, on Python floats.
 """
 
 import math
@@ -310,65 +309,57 @@ def security_frontier(c_grid, attack=INDIVIDUAL):
     """Critical local variance per correlation value on the ``cx = cp = c``
     slice of the family.
 
-    Bisection between the rails of :func:`frontier_rails`, the lower one
-    lifted by a relative 1e-12 margin, finds where the attack's key
-    condition flips, to a width of 1e-6.  Every ``c`` of the grid is bisected
-    in lockstep: each step decides all open brackets at once, each with its
-    own stop rule, and evaluates exactly the points a bisection of that ``c``
-    alone would (the upper rail only where the lower one is secure), so each
-    ``lam_star`` has that bisection's bits.  The overlap attacks read their margin of
-    :data:`_OVERLAP_VERDICT` over the arrays of open points.  For ``general``
-    each open point gets its own :func:`optimize_rate`, and the frontier is a
-    rate-threshold frontier: ``lam_star`` is where the best one-way rate over
-    thresholds ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted symbol.
+    One bisection per ``c``, on floats, between the rails of
+    :func:`frontier_rails`, the lower one lifted to
+    ``solid * (1 + 1e-12) + 1e-12``, finds where the attack's key condition
+    flips.  The upper rail is evaluated only where the lower one is secure; a
+    bracket with no flip closes on its rail.  Bisection stops once
+    ``hi - lo <= 1e-6`` or the midpoint no longer falls strictly inside the
+    bracket, and ``lam_star`` is the last midpoint.  The overlap attacks read
+    their margin of :data:`_OVERLAP_VERDICT`.  For ``general`` each point gets
+    its own :func:`optimize_rate`, and the frontier is a rate-threshold
+    frontier: ``lam_star`` is where the best one-way rate over thresholds
+    ``x0 <= X0_MAX`` falls to 1e-12 bits per accepted symbol.
     ``c_grid``, read by :func:`~gausskey.matkit._reals`, is a non-empty 1-D
     array of finite, positive, strictly ascending values, each between about
     2e-12 and 1e12, where the lifted lower rail stays below the upper one;
     anything else, numeric strings included, raises :class:`InvalidInput`, as
-    does an unknown attack kind once the grid has passed.  Returns
-    ``(c, lam_star)`` pairs in grid order.
+    does an unknown attack kind once every ``c`` has passed.  Returns
+    ``(c, lam_star)`` pairs of floats in grid order.
     """
     c_grid = matkit._reals(c_grid, "c grid must be 1-D, non-empty, finite, positive and strictly ascending")
     if c_grid.ndim != 1 or c_grid.size == 0 or c_grid[0] <= 0 or np.any(np.diff(c_grid) <= 0):
         raise InvalidInput("c grid must be 1-D, non-empty, finite, positive and strictly ascending")
-    los, his = [], []
+    brackets = []
     for c in c_grid.tolist():
         solid, hi = frontier_rails(c)
         lo = solid * (1.0 + 1e-12) + 1e-12
         if not lo < hi:
             raise InvalidInput(f"c = {c:g}: the rails sqrt(1 + c^2) and c + 1 cannot be separated")
-        los.append(lo)
-        his.append(hi)
+        brackets.append((c, lo, hi))
     margin = _OVERLAP_VERDICT.get(attack)
     if margin is not None:
         def secure(lam, c):
             return margin(lam, c, c) > 0.0
     elif attack == GENERAL:
-        # one rate search per open point: the place for a scan batched over states
         def secure(lam, c):
-            return np.array([optimize_rate(SymmetricStateParams(v, k, k))[1] > _RATE_FLOOR
-                             for v, k in zip(lam.tolist(), c.tolist())], dtype=bool)
+            return optimize_rate(SymmetricStateParams(lam, c, c))[1] > _RATE_FLOOR
     else:
         raise InvalidInput(f"unknown attack kind {attack!r}")
-    c, lo, hi = c_grid, np.array(los), np.array(his)
-    # with no flip between the rails the bracket closes on one: mid = 0.5 * (x + x) = x
-    flat = ~secure(lo, c)
-    hi[flat] = lo[flat]
-    up = np.flatnonzero(~flat)
-    up = up[secure(hi[up], c[up])]
-    lo[up] = hi[up]
-    out = 0.5 * (lo + hi)
-    # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
-    keep = (hi - lo > 1e-6) & (lo < out) & (out < hi)
-    idx, c, lo, hi, mid = np.flatnonzero(keep), c[keep], lo[keep], hi[keep], out[keep]
-    while idx.size:
-        key = secure(mid, c)
-        lo, hi = np.where(key, mid, lo), np.where(key, hi, mid)
+    out = []
+    for c, lo, hi in brackets:
+        # with no flip between the rails the bracket closes on one: mid = 0.5 * (x + x) = x
+        if not secure(lo, c):
+            hi = lo
+        elif secure(hi, c):
+            lo = hi
+        # above c ~ 1e10 the float spacing exceeds 1e-6 and mid stops moving
         mid = 0.5 * (lo + hi)
-        out[idx] = mid
-        keep = (hi - lo > 1e-6) & (lo < mid) & (mid < hi)
-        idx, c, lo, hi, mid = idx[keep], c[keep], lo[keep], hi[keep], mid[keep]
-    return list(zip(c_grid.tolist(), out.tolist()))
+        while hi - lo > 1e-6 and lo < mid < hi:
+            lo, hi = (mid, hi) if secure(mid, c) else (lo, mid)
+            mid = 0.5 * (lo + hi)
+        out.append((c, mid))
+    return out
 
 
 def build_report(p, x0_max=X0_MAX):

@@ -218,15 +218,6 @@ class TestGridOverlap:
         w = o.wavefunction_from_pure(np.eye(2), np.zeros(2), AX)
         assert abs(o.grid_overlap(w, w) - 1.0) < 1e-6
 
-    def test_phase_convention_matches_pure_overlap(self):
-        d1, d2 = np.array([2.0, 0.0]), np.array([0.0, 2.0])
-        a = o.wavefunction_from_pure(np.eye(2), d1, AX)
-        b = o.wavefunction_from_pure(np.eye(2), d2, AX)
-        got = o.grid_overlap(a, b)
-        want = g.pure_overlap(np.eye(2), d1, d2)
-        assert abs(got - want) < 1e-6
-        assert abs(got.imag) > 0.1  # the check is vacuous if the phase dies
-
     def test_rejects_grid_mismatch(self):
         a = o.wavefunction_from_pure(np.eye(2), np.zeros(2), AX)
         b = o.wavefunction_from_pure(np.eye(2), np.zeros(2), o.GridAxis(-8.0, 8.0, 101))
